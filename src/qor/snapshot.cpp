@@ -17,8 +17,8 @@ namespace {
 /// Levelize the netlist exactly as the timing kernels do (sequential and
 /// PI-fed cones at level 0; a combinational gate one past its deepest
 /// combinational driver) and summarize the wavefront shape. Computed
-/// directly from the netlist so both capture() overloads — and both
-/// graph layouts — report identical bytes.
+/// directly from the netlist so both capture() overloads report
+/// identical bytes.
 void wave_profile(const netlist::Netlist& nl, QorSnapshot& s) {
   const std::vector<InstanceId> order = netlist::topo_order(nl);
   std::vector<int> level(nl.num_instances(), 0);

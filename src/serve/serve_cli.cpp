@@ -28,9 +28,8 @@ constexpr const char* kUsage =
     "usage: gapd [--journal-dir DIR] [--threads N] [--max-sessions N]\n"
     "            [--max-frame-bytes N] [--max-journal-edits N]\n"
     "            [--max-session-diags N] [--deadline-us F] [--no-recover]\n"
-    "            [--graph compact|pointer] [--trace-out FILE]\n"
-    "            [--expose-out FILE] [--expose-interval N]\n"
-    "            [--flight-capacity N]\n"
+    "            [--trace-out FILE] [--expose-out FILE]\n"
+    "            [--expose-interval N] [--flight-capacity N]\n"
     "\n"
     "Resident timing service: answers gap-serve-v1 JSON frames (one per\n"
     "line) on stdout until stdin closes or a shutdown frame arrives.\n"
@@ -227,14 +226,6 @@ int run_gapd(int argc, const char* const* argv, std::istream& in,
       if (!number(&v, 0, 1e12))
         return usage_error(err, "--deadline-us needs a number in [0, 1e12]");
       options.default_deadline_us = v;
-    } else if (arg == "--graph") {
-      // Timing-graph layout for the resident timers. Replies are
-      // byte-identical either way (docs/data-layout.md).
-      std::string text;
-      if (!value(&text) || (text != "compact" && text != "pointer"))
-        return usage_error(err, "--graph needs 'compact' or 'pointer'");
-      options.graph = text == "compact" ? sta::GraphKind::kCompact
-                                        : sta::GraphKind::kPointer;
     } else if (arg == "--no-recover") {
       recover = false;
     } else if (arg == "--trace-out") {

@@ -60,8 +60,10 @@ template <typename Fn>
   }
 }
 
-/// Re-emit a (possibly pretty-printed) renderer output as one compact
-/// line, so every reply stays line-delimited.
+/// Re-emit a pretty-printed renderer output (lint::write_json) as one
+/// compact line, so every reply stays line-delimited. The timing
+/// renderers (critical_path_json, slack_histogram_json) already emit the
+/// compact dump() form and are spliced in as they are.
 [[nodiscard]] Result<std::string> compact(const std::string& text) {
   auto v = json::Value::parse_checked(text);
   if (!v.ok())
@@ -265,8 +267,8 @@ struct LoadInfo {
 [[nodiscard]] Result<std::unique_ptr<Server::Session>> build_session(
     const std::string& name, const std::string& design,
     const std::string& methodology, const std::string& tech,
-    const std::string& corner, int threads, sta::GraphKind graph,
-    std::size_t max_diags, LoadInfo* info) {
+    const std::string& corner, int threads, std::size_t max_diags,
+    LoadInfo* info) {
   auto s = std::make_unique<Server::Session>();
   s->name = name;
   s->design = design;
@@ -322,10 +324,8 @@ struct LoadInfo {
   }
   s->nl = result.nl;
   const Status timer_st = run_guarded([&] {
-    sta::StaOptions sta_opt = core::signoff_sta_options(*m);
-    sta_opt.graph = graph;
-    s->timer =
-        std::make_unique<sta::IncrementalTimer>(*s->nl, sta_opt, threads);
+    s->timer = std::make_unique<sta::IncrementalTimer>(
+        *s->nl, core::signoff_sta_options(*m), threads);
     s->timer->flush();
   });
   if (!timer_st.ok()) return timer_st;
@@ -377,8 +377,7 @@ std::string Server::cmd_load(const Request& req, double t0_us) {
   LoadInfo info;
   auto built =
       build_session(name->str, design->str, methodology, tech, corner,
-                    options_.threads, options_.graph,
-                    options_.max_session_diags, &info);
+                    options_.threads, options_.max_session_diags, &info);
   if (!built.ok()) {
     bump(&ServerCounters::errors, "serve.errors");
     return error_reply(req.id_json, reply_code(built.status().code()),
@@ -461,7 +460,7 @@ Status Server::recover() {
         header.member_string("methodology", "typical"),
         header.member_string("tech", "asic025"),
         header.member_string("corner", ""), options_.threads,
-        options_.graph, options_.max_session_diags, nullptr);
+        options_.max_session_diags, nullptr);
     if (!built.ok()) continue;  // names no longer resolve; leave the file
     std::unique_ptr<Session> s = std::move(built).value();
     s->recovered = true;
@@ -695,13 +694,7 @@ std::string Server::cmd_timing(const Request& req) {
     bump(&ServerCounters::errors, "serve.errors");
     return error_reply(req.id_json, reply_code(st.code()), st.message());
   }
-  auto result = compact(sta::critical_path_json(*s->nl, opts, timing));
-  if (!result.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInternal,
-                       result.status().message());
-  }
-  return ok_reply(req.id_json, result.value());
+  return ok_reply(req.id_json, sta::critical_path_json(*s->nl, opts, timing));
 }
 
 std::string Server::cmd_slacks(const Request& req) {
@@ -747,15 +740,9 @@ std::string Server::cmd_slacks(const Request& req) {
   }
   const sta::SlackHistogramData hist =
       sta::slack_histogram_from_slacks(slacks, buckets.value());
-  auto hist_json = compact(sta::slack_histogram_json(hist));
-  if (!hist_json.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInternal,
-                       hist_json.status().message());
-  }
   return ok_reply(req.id_json, "{\"period_tau\":" + json::number(period) +
-                                   ",\"histogram\":" + hist_json.value() +
-                                   '}');
+                                   ",\"histogram\":" +
+                                   sta::slack_histogram_json(hist) + '}');
 }
 
 std::string Server::cmd_top_paths(const Request& req) {
@@ -828,12 +815,6 @@ std::string Server::cmd_qor(const Request& req) {
     bump(&ServerCounters::errors, "serve.errors");
     return error_reply(req.id_json, reply_code(st.code()), st.message());
   }
-  auto hist_json = compact(sta::slack_histogram_json(snap.slack_histogram));
-  if (!hist_json.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInternal,
-                       hist_json.status().message());
-  }
   std::string result =
       "{\"worst_path_tau\":" + json::number(snap.worst_path_tau) +
       ",\"min_period_tau\":" + json::number(snap.min_period_tau) +
@@ -848,7 +829,8 @@ std::string Server::cmd_qor(const Request& req) {
       ",\"critical_wirelength_um\":" +
       json::number(snap.critical_wirelength_um) +
       ",\"sizing_headroom_tau\":" + json::number(snap.sizing_headroom_tau) +
-      ",\"slack_histogram\":" + hist_json.value() + '}';
+      ",\"slack_histogram\":" +
+      sta::slack_histogram_json(snap.slack_histogram) + '}';
   return ok_reply(req.id_json, result);
 }
 

@@ -19,7 +19,7 @@ void CompactGraph::refresh_instance(const netlist::Netlist& nl,
   clk_to_q_[i] = c.clk_to_q_tau;
   setup_[i] = c.setup_tau;
   // Computed through the Netlist accessors so the stored doubles are the
-  // exact values the pointer path derives on every read.
+  // exact values Netlist::drive_of / pin_cap derive.
   drive_[i] = nl.drive_of(id);
   pin_cap_[i] = nl.pin_cap(id);
 }
@@ -100,10 +100,9 @@ void CompactGraph::rebuild_structure(const netlist::Netlist& nl) {
     std::copy(n.sinks.begin(), n.sinks.end(), sink_.begin() + sink_off_[i]);
   }
 
-  // Levelization, the same computation as the incremental timer's
-  // pointer-path rebuild_levels(): sequential instances launch at the
-  // clock (level 0); a combinational instance sits one past its deepest
-  // combinational driver.
+  // Levelization: sequential instances launch at the clock (level 0); a
+  // combinational instance sits one past its deepest combinational
+  // driver.
   order_ = netlist::topo_order(nl);
   GAP_EXPECTS(order_.size() == insts);
   level_.assign(insts, 0);

@@ -1,7 +1,7 @@
 #pragma once
 /// \file compact_graph.hpp
-/// Flat structure-of-arrays timing graph: the kCompact data layout behind
-/// StaOptions::graph. Built once from a netlist::Netlist, it stores
+/// Flat structure-of-arrays timing graph: the one data layout every STA
+/// engine propagates on. Built once from a netlist::Netlist, it stores
 /// everything the timing kernels (sta/kernels.hpp) read as contiguous
 /// arrays indexed by the *same* InstanceId/NetId/PortId values as the
 /// netlist — ids are positional and stable (the netlist never deletes),
@@ -200,7 +200,7 @@ class CompactGraph {
 /// levelized relaxation. With a pool of >1 lanes, wire models and each
 /// level's relaxations fan out in parallel (all writes disjoint, reads
 /// strictly below the level) — results are bit-identical to the serial
-/// loop and to the pointer engine at any lane count.
+/// loop at any lane count.
 void compact_propagate(const CompactGraph& g, const StaOptions& opt,
                        detail::ArrivalState& st,
                        common::ThreadPool* pool = nullptr);

@@ -11,8 +11,8 @@
 /// `sta::top_critical_paths` on the current netlist, at any thread
 /// count. Three mechanisms make that hold:
 ///
-///  1. Both engines evaluate all timing arithmetic through the single
-///     compiled kernels of sta/propagation.cpp — there is no second copy
+///  1. Both engines evaluate all timing arithmetic through the kernels of
+///     sta/kernels.hpp over a sta::CompactGraph — there is no second copy
 ///     of any formula that could round differently.
 ///  2. Re-propagation terminates on *bitwise* comparison: a recomputed
 ///     value propagates only if its bit pattern changed, so every cached
@@ -147,44 +147,26 @@ class IncrementalTimer {
   [[nodiscard]] bool creates_comb_cycle(InstanceId inst, NetId net) const;
 
   void full_rebuild();
-  void rebuild_levels();
+  void rebuild_state();
   void flush_wire_models();
   void flush_arrivals();
   void refresh_endpoints();
   void refresh_required(double period_tau);
   [[nodiscard]] detail::WorstEndpoint scan_worst_endpoint() const;
 
-  // View-templated bodies of the flush pipeline, instantiated with
-  // NetlistView (pointer path) or the resident CompactGraph. The
-  // non-template drivers above dispatch on options_.graph; the arithmetic
-  // inside is the shared kernels of sta/kernels.hpp either way.
-  template <class G>
-  void rebuild_state(const G& g);
-  template <class G>
-  void flush_wire_models_on(const G& g);
-  template <class G>
-  void flush_arrivals_on(const G& g);
-  template <class G>
-  void refresh_endpoints_on(const G& g);
-  template <class G>
-  void refresh_required_on(const G& g, double period_tau);
-
   netlist::Netlist* nl_;
   StaOptions options_;
   int threads_;
   common::ThreadPool pool_;  ///< resident lanes for the wavefronts
 
-  /// The flat graph all timing reads go through when options_.graph ==
-  /// GraphKind::kCompact. apply() patches values in place on resizes;
-  /// rewires rebuild its adjacency on flush; invalidate_all() rebuilds it
-  /// entirely. Empty (and ignored) on the pointer path.
+  /// The flat graph all timing reads go through, and the source of the
+  /// topological order and levels the wavefronts are bucketed by.
+  /// apply() patches values in place on resizes; rewires rebuild its
+  /// adjacency and schedule on flush; invalidate_all() rebuilds it
+  /// entirely.
   CompactGraph cg_;
-  bool use_compact_ = true;
 
   detail::ArrivalState st_;
-  std::vector<InstanceId> order_;  ///< topo order (seed of the levels)
-  std::vector<int> level_;         ///< per instance; seq/PI-fed cones = 0
-  int max_level_ = 0;
 
   /// Per-net worst endpoint path over that net's PO / sequential-D sinks
   /// (-inf when the net has none or no arrival) and endpoint-sink count.

@@ -1,26 +1,23 @@
 #pragma once
 /// \file kernels.hpp
-/// The timing arithmetic of both STA engines, templated over a *graph
-/// view*. A view is anything that answers the read-only accessor
-/// vocabulary below; two implementations exist:
-///
-///   - NetlistView — a zero-cost adapter over netlist::Netlist (the
-///     pointer path; every accessor inlines to the Netlist call the
-///     kernels historically made), and
-///   - sta::CompactGraph — flat structure-of-arrays storage with
-///     CSR adjacency and a levelized wavefront schedule.
+/// The timing arithmetic of every STA engine, templated over a *graph
+/// view*: anything that answers the read-only accessor vocabulary below.
+/// sta::CompactGraph (flat structure-of-arrays storage with CSR adjacency
+/// and a levelized wavefront schedule) is the view every propagation runs
+/// on. NetlistView, a zero-cost adapter over netlist::Netlist, exists only
+/// for the single-net queries that have no graph at hand: the public
+/// sta::wire_model (path attribution, gap::qor) and hold analysis's
+/// arc_delay. Neither is a propagation path.
 ///
 /// **The byte-identity contract.** sta::analyze / net_slacks /
-/// top_critical_paths and the incremental timer must agree bit-for-bit on
-/// every query regardless of StaOptions::graph and thread count. The only
-/// way to guarantee that across two data layouts is to evaluate every
-/// formula through one *source* definition: each kernel is written once
-/// here and instantiated per view. Both instantiations execute the same
-/// expression trees over the same doubles (views return stored or
-/// identically-computed values, never re-derived ones), so IEEE-754
-/// evaluation is identical. tests/soa_graph_test.cpp enforces this
-/// differentially; tests/incremental_sta_test.cpp enforces the
-/// batch-vs-incremental half of the contract.
+/// top_critical_paths, Monte Carlo STA and the incremental timer must
+/// agree bit-for-bit on every query at any thread count. Each formula is
+/// written once here, so every engine executes the same expression trees
+/// over the same doubles (views return stored or identically-computed
+/// values, never re-derived ones). tests/incremental_sta_test.cpp
+/// enforces the batch-vs-incremental half of the contract;
+/// tests/soa_graph_test.cpp checks the formulas themselves against an
+/// independent reference STA that shares no code with this file.
 ///
 /// View vocabulary (all const, all cheap):
 ///   num_nets() num_instances() num_ports()
@@ -44,8 +41,9 @@
 
 namespace gap::sta {
 
-/// Pointer-path view: thin inline wrapper over netlist::Netlist giving it
-/// the kernel accessor vocabulary. Copying is free (one pointer).
+/// Single-net view: thin inline wrapper over netlist::Netlist giving it
+/// the kernel accessor vocabulary, for the per-net queries named in the
+/// file comment. Copying is free (one pointer).
 class NetlistView {
  public:
   explicit NetlistView(const netlist::Netlist& nl) : nl_(&nl) {}
@@ -125,22 +123,18 @@ template <class G>
   return d;
 }
 
-/// The primary-input arrival formula on raw operands, shared by the
-/// PortId-addressed template below and the Port&-addressed legacy entry
-/// point in propagation.cpp.
-[[nodiscard]] inline double pi_arrival_value(const StaOptions& opt,
-                                             double driver_load,
-                                             double ext_drive) {
-  return opt.corner_delay_factor * driver_load / ext_drive;
-}
-
+/// Arrival a primary input drives onto its net: the external driver of
+/// the port's declared strength charging the net's load.
 template <class G>
 [[nodiscard]] double pi_arrival(const G& g, const StaOptions& opt,
                                 const detail::ArrivalState& st, PortId pid) {
-  return pi_arrival_value(opt, st.driver_load[g.port_net(pid).index()],
-                          g.port_ext_drive(pid));
+  return opt.corner_delay_factor *
+         st.driver_load[g.port_net(pid).index()] / g.port_ext_drive(pid);
 }
 
+/// Arrival at the output of `id` given the current input arrivals, with
+/// the worst (arrival-setting) input reported through `crit_out`
+/// (invalid for sequential launches and floating-input cones).
 template <class G>
 [[nodiscard]] double instance_arrival(const G& g, const StaOptions& opt,
                                       const detail::ArrivalState& st,
@@ -164,6 +158,7 @@ template <class G>
              arc_delay(g, id, st.driver_load[g.output(id).index()]);
 }
 
+/// Compute-and-store form used by the full forward passes.
 template <class G>
 void relax_instance(const G& g, const StaOptions& opt,
                     detail::ArrivalState& st, InstanceId id) {
@@ -173,6 +168,9 @@ void relax_instance(const G& g, const StaOptions& opt,
   st.arrival[g.output(id).index()] = a;
 }
 
+/// Full path delay at one timing endpoint — a primary-output sink or a
+/// sequential D pin (launch through gates and wires plus capture setup).
+/// -inf when the sink is not an endpoint or the net has no arrival.
 template <class G>
 [[nodiscard]] double endpoint_path_tau(const G& g, const StaOptions& opt,
                                        const detail::ArrivalState& st,
@@ -188,6 +186,12 @@ template <class G>
   return kNegInf;
 }
 
+/// Required time at `net` for the given data budget, recomputed from all
+/// of its sinks: endpoint seeds (budget minus capture setup minus wire)
+/// min'd with each combinational sink's propagated requirement. min over
+/// doubles is an exact selection, so the incremental engine's per-net
+/// recomputation equals the full backward pass bit for bit. `required`
+/// must already hold final values for every sink instance's output net.
 template <class G>
 [[nodiscard]] double required_of_net(const G& g, const StaOptions& opt,
                                      const detail::ArrivalState& st,
@@ -217,6 +221,8 @@ template <class G>
   return out;
 }
 
+/// Full backward pass: required time for every net at the given budget.
+/// `order` is the graph's topological order.
 template <class G>
 [[nodiscard]] std::vector<double> compute_required(
     const G& g, const StaOptions& opt, const detail::ArrivalState& st,
@@ -242,6 +248,7 @@ template <class G>
   return required;
 }
 
+/// Slack per net (required - arrival); +inf for unconstrained nets.
 template <class G>
 [[nodiscard]] std::vector<double> slacks_from_state(
     const G& g, const detail::ArrivalState& st,
@@ -257,6 +264,8 @@ template <class G>
   return slack;
 }
 
+/// The worst endpoint over the whole design (first net in id order wins
+/// ties) and the endpoint count.
 template <class G>
 [[nodiscard]] detail::WorstEndpoint worst_endpoint_from_state(
     const G& g, const StaOptions& opt, const detail::ArrivalState& st) {
@@ -280,6 +289,9 @@ template <class G>
   return e;
 }
 
+/// TimingResult (period conversion + critical-path backtrack, recording
+/// each path instance's output arrival) from an already-propagated state
+/// and a chosen worst endpoint.
 template <class G>
 [[nodiscard]] TimingResult timing_result_from_state(
     const G& g, const StaOptions& opt, const detail::ArrivalState& st,
@@ -300,13 +312,17 @@ template <class G>
     const netlist::NetDriver& d = g.driver(net);
     if (d.kind != netlist::NetDriver::Kind::kInstance) break;
     r.critical_path.push_back(d.inst);
+    r.critical_arrival_tau.push_back(st.arrival[net.index()]);
     if (g.is_sequential(d.inst)) break;  // launch point
     net = st.crit_input[d.inst.index()];
   }
   std::reverse(r.critical_path.begin(), r.critical_path.end());
+  std::reverse(r.critical_arrival_tau.begin(), r.critical_arrival_tau.end());
   return r;
 }
 
+/// The k worst distinct endpoints with full backtracked paths, sorted
+/// worst first; ties break on net, then sink.
 template <class G>
 [[nodiscard]] std::vector<CriticalPath> top_paths_from_state(
     const G& g, const StaOptions& opt, const detail::ArrivalState& st,

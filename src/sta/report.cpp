@@ -3,37 +3,38 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/check.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace gap::sta {
 
 std::string format_critical_path(const netlist::Netlist& nl,
-                                 const StaOptions& options,
                                  const TimingResult& timing, int max_lines) {
   const tech::Technology& t = nl.lib().technology();
-  const auto arrivals = net_arrivals(nl, options);
   std::string out;
   char line[160];
   std::snprintf(line, sizeof line, "%-24s %-12s %7s %8s %10s\n", "instance",
                 "cell", "drive", "load", "arrival");
   out += line;
 
-  int shown = 0;
-  for (InstanceId id : timing.critical_path) {
-    if (shown++ >= max_lines) {
+  GAP_EXPECTS(timing.critical_arrival_tau.size() ==
+              timing.critical_path.size());
+  for (std::size_t i = 0; i < timing.critical_path.size(); ++i) {
+    if (static_cast<int>(i) >= max_lines) {
       out += "  ... (";
       out += std::to_string(timing.critical_path.size() -
                             static_cast<std::size_t>(max_lines));
       out += " more)\n";
       break;
     }
+    const InstanceId id = timing.critical_path[i];
     const netlist::Instance& inst = nl.instance(id);
     const library::Cell& c = nl.cell_of(id);
     std::snprintf(line, sizeof line, "%-24s %-12s %7.2f %8.2f %7.1f ps\n",
                   inst.name.c_str(), c.name.c_str(), nl.drive_of(id),
                   nl.net_load(inst.output),
-                  t.tau_to_ps(arrivals[inst.output.index()]));
+                  t.tau_to_ps(timing.critical_arrival_tau[i]));
     out += line;
   }
   std::snprintf(line, sizeof line,
@@ -46,24 +47,24 @@ std::string format_critical_path(const netlist::Netlist& nl,
 }
 
 std::string critical_path_json(const netlist::Netlist& nl,
-                               const StaOptions& options,
+                               const StaOptions& /*options*/,
                                const TimingResult& timing) {
   namespace json = common::json;
   const tech::Technology& t = nl.lib().technology();
-  const auto arrivals = net_arrivals(nl, options);
+  GAP_EXPECTS(timing.critical_arrival_tau.size() ==
+              timing.critical_path.size());
   std::string out = "{\"path\":[";
-  bool first = true;
-  for (InstanceId id : timing.critical_path) {
+  for (std::size_t i = 0; i < timing.critical_path.size(); ++i) {
+    const InstanceId id = timing.critical_path[i];
     const netlist::Instance& inst = nl.instance(id);
     const library::Cell& c = nl.cell_of(id);
-    if (!first) out += ',';
-    first = false;
+    if (i != 0) out += ',';
     out += "{\"instance\":\"" + json::escape(inst.name) + "\",\"cell\":\"" +
            json::escape(c.name) + "\",\"drive\":" +
            json::number(nl.drive_of(id)) +
            ",\"load\":" + json::number(nl.net_load(inst.output)) +
            ",\"arrival_ps\":" +
-           json::number(t.tau_to_ps(arrivals[inst.output.index()])) + "}";
+           json::number(t.tau_to_ps(timing.critical_arrival_tau[i])) + "}";
   }
   out += "],\"min_period_ps\":" + json::number(timing.min_period_ps) +
          ",\"min_period_fo4\":" + json::number(timing.min_period_fo4) +

@@ -16,12 +16,16 @@ namespace gap::sta {
 
 /// Critical path report: one line per cell on the path with its cell,
 /// drive, load and cumulative arrival, ending with the period summary.
+/// The arrival column is the one `timing` recorded during its backtrack
+/// (TimingResult::critical_arrival_tau), so rendering runs no timing
+/// pass; `timing` must come from an analysis of `nl`.
 [[nodiscard]] std::string format_critical_path(const netlist::Netlist& nl,
-                                               const StaOptions& options,
                                                const TimingResult& timing,
                                                int max_lines = 40);
 
-/// The same listing as one JSON object:
+/// The same listing as one JSON object (one line, already in the compact
+/// common::json dump() form). `options` is not read; the parameter stays
+/// for existing callers.
 ///   {"path":[{"instance","cell","drive","load","arrival_ps"},...],
 ///    "min_period_ps","min_period_fo4","frequency_mhz","endpoints"}
 [[nodiscard]] std::string critical_path_json(const netlist::Netlist& nl,
@@ -55,7 +59,7 @@ struct SlackHistogramData {
                                                  double period_tau,
                                                  int buckets = 10);
 
-/// The histogram as one JSON object:
+/// The histogram as one JSON object (one line, compact dump() form):
 ///   {"lo","hi","constrained","buckets":[[center,count],...]}
 [[nodiscard]] std::string slack_histogram_json(const SlackHistogramData& h);
 

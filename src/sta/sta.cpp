@@ -1,34 +1,30 @@
 #include "sta/sta.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "netlist/checks.hpp"
 #include "sta/compact_graph.hpp"
 #include "sta/kernels.hpp"
-#include "sta/propagation.hpp"
-#include "wire/repeaters.hpp"
 
 namespace gap::sta {
 namespace {
 
-using netlist::NetDriver;
 using netlist::Netlist;
 using netlist::NetSink;
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
-/// Shared forward-propagation state: the per-net arrays plus the topo
-/// order they were filled in. The arithmetic itself lives in
-/// sta/propagation.cpp so the incremental engine reuses the exact same
-/// compiled kernels (see propagation.hpp for the byte-identity contract).
+/// One-shot forward propagation: the graph it ran on stays alive for the
+/// worst-endpoint, backtrack and required-time post-processing. Resident
+/// consumers (IncrementalTimer, MC-STA) cache a graph instead of
+/// rebuilding one per call.
 struct Propagation {
+  CompactGraph g;
   detail::ArrivalState st;
-  std::vector<InstanceId> order;
 };
 
 }  // namespace
@@ -52,38 +48,8 @@ Propagation propagate(const Netlist& nl, const StaOptions& opt) {
   passes.add();
   props.add(nl.num_instances());
 
-  Propagation p;
-  if (opt.graph == GraphKind::kCompact) {
-    // One-shot analysis on the flat layout: build, propagate, keep the
-    // order for the backward pass. Resident consumers (IncrementalTimer,
-    // MC-STA) cache the graph instead of rebuilding per call.
-    const CompactGraph g(nl);
-    compact_propagate(g, opt, p.st);
-    p.order = g.order();
-    return p;
-  }
-  p.st.arrival.assign(nl.num_nets(), kNegInf);
-  p.st.wire_delay.resize(nl.num_nets());
-  p.st.driver_load.resize(nl.num_nets());
-  p.st.crit_input.assign(nl.num_instances(), NetId{});
-  const double k = opt.corner_delay_factor;
-
-  for (NetId n : nl.all_nets()) {
-    const WireModel m = wire_model(nl, n, opt);
-    p.st.wire_delay[n.index()] = k * m.delay_tau;
-    p.st.driver_load[n.index()] = m.driver_load_units;
-  }
-
-  // Primary inputs: external driver of the port's declared strength.
-  for (PortId pid : nl.all_ports()) {
-    const netlist::Port& port = nl.port(pid);
-    if (!port.is_input) continue;
-    p.st.arrival[port.net.index()] = detail::pi_arrival(opt, p.st, port);
-  }
-
-  p.order = netlist::topo_order(nl);
-  GAP_EXPECTS(p.order.size() == nl.num_instances());
-  for (InstanceId id : p.order) detail::relax_instance(nl, opt, p.st, id);
+  Propagation p{CompactGraph(nl), {}};
+  compact_propagate(p.g, opt, p.st);
   return p;
 }
 
@@ -97,8 +63,8 @@ TimingResult analyze(const Netlist& nl, const StaOptions& options) {
   analyses.add();
   const Propagation p = propagate(nl, options);
   const detail::WorstEndpoint e =
-      detail::worst_endpoint_from_state(nl, options, p.st);
-  return detail::timing_result_from_state(nl, options, p.st, e);
+      kern::worst_endpoint_from_state(p.g, options, p.st);
+  return kern::timing_result_from_state(p.g, options, p.st, e);
 }
 
 std::vector<CriticalPath> top_critical_paths(const Netlist& nl,
@@ -106,11 +72,12 @@ std::vector<CriticalPath> top_critical_paths(const Netlist& nl,
                                              int k) {
   if (k <= 0) return {};
   const Propagation p = propagate(nl, options);
-  return detail::top_paths_from_state(nl, options, p.st, k);
+  return kern::top_paths_from_state(p.g, options, p.st, k);
 }
 
 std::vector<double> net_arrivals(const Netlist& nl, const StaOptions& options) {
-  return propagate(nl, options).st.arrival;
+  Propagation p = propagate(nl, options);
+  return std::move(p.st.arrival);
 }
 
 std::vector<double> net_slacks(const Netlist& nl, const StaOptions& options,
@@ -118,8 +85,8 @@ std::vector<double> net_slacks(const Netlist& nl, const StaOptions& options,
   const Propagation p = propagate(nl, options);
   const double budget = detail::cycle_budget(options, period_tau);
   const std::vector<double> required =
-      detail::compute_required(nl, options, p.st, p.order, budget);
-  return detail::slacks_from_state(nl, p.st, required);
+      kern::compute_required(p.g, options, p.st, p.g.order(), budget);
+  return kern::slacks_from_state(p.g, p.st, required);
 }
 
 namespace {
@@ -143,7 +110,8 @@ std::vector<double> min_arrivals(const Netlist& nl, const StaOptions& opt) {
         in_arr = std::min(in_arr, arrival[in.index()]);
       if (in_arr == kPosInf) continue;  // PI-only cone: no internal launch
     }
-    const double d = k * detail::arc_delay(nl, id, nl.net_load(inst.output));
+    const double d =
+        k * kern::arc_delay(NetlistView(nl), id, nl.net_load(inst.output));
     arrival[inst.output.index()] =
         std::min(arrival[inst.output.index()], in_arr + d);
   }

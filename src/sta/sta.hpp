@@ -11,6 +11,10 @@
 /// where worst_path includes the launching clk-to-Q and capturing setup.
 /// The skew fraction is the clock-distribution quality knob of section 4.1
 /// (about 10% for ASICs, 5% for the best custom trees).
+///
+/// Every analysis runs on a sta::CompactGraph snapshot of the netlist
+/// (flat structure-of-arrays with a levelized wavefront schedule; see
+/// docs/data-layout.md).
 
 #include <vector>
 
@@ -24,14 +28,6 @@ struct ClockSpec {
   double extra_skew_tau = 0.0;  ///< absolute additional skew/jitter
 };
 
-/// Which timing-graph representation the engines evaluate on. Both run
-/// the same templated kernels (sta/kernels.hpp) and are byte-identical at
-/// any thread count — the choice trades data layout, never results.
-/// kPointer walks netlist::Netlist directly; kCompact builds/reuses a
-/// sta::CompactGraph (flat structure-of-arrays with a levelized wavefront
-/// schedule) and is the default. See docs/data-layout.md.
-enum class GraphKind : std::uint8_t { kPointer, kCompact };
-
 struct StaOptions {
   double corner_delay_factor = 1.0;  ///< process corner multiplier
   ClockSpec clock;
@@ -44,9 +40,6 @@ struct StaOptions {
   /// Optional per-instance delay multipliers (indexed by InstanceId),
   /// used by Monte Carlo statistical STA. Not owned; may be null.
   const std::vector<double>* instance_delay_factors = nullptr;
-
-  /// Data layout the analysis runs on (results are identical either way).
-  GraphKind graph = GraphKind::kCompact;
 };
 
 struct TimingResult {
@@ -58,6 +51,9 @@ struct TimingResult {
   double min_period_fo4 = 0.0;  ///< "FO4 delays per cycle" of section 4
   /// Instances on the critical path, launch to capture.
   std::vector<InstanceId> critical_path;
+  /// Arrival at each critical_path instance's output (tau), same order —
+  /// recorded during the backtrack so reports need no second pass.
+  std::vector<double> critical_arrival_tau;
   std::size_t num_endpoints = 0;
 
   [[nodiscard]] double frequency_mhz() const {

@@ -468,7 +468,7 @@ netlist::Netlist& small_design() {
   return nl;
 }
 
-TEST(WaveProfile, IdenticalAcrossCapturePathsAndGraphKinds) {
+TEST(WaveProfile, IdenticalAcrossCapturePaths) {
   netlist::Netlist& nl = small_design();
   qor::SnapshotOptions opt;
 
@@ -478,28 +478,19 @@ TEST(WaveProfile, IdenticalAcrossCapturePathsAndGraphKinds) {
   EXPECT_GE(batch.wave_narrow_fraction, 0.0);
   EXPECT_LE(batch.wave_narrow_fraction, 1.0);
 
-  for (const sta::GraphKind kind :
-       {sta::GraphKind::kCompact, sta::GraphKind::kPointer}) {
-    sta::StaOptions sta_opt = opt.sta;
-    sta_opt.graph = kind;
-    sta::IncrementalTimer timer(nl, sta_opt, 1);
-    timer.flush();
-    qor::SnapshotOptions topt = opt;
-    topt.sta = sta_opt;
-    const qor::QorSnapshot inc = qor::capture(timer, topt);
-    EXPECT_EQ(inc.wave_levels, batch.wave_levels);
-    EXPECT_EQ(inc.wave_widest, batch.wave_widest);
-    EXPECT_EQ(inc.wave_narrow_fraction, batch.wave_narrow_fraction);
-  }
+  sta::IncrementalTimer timer(nl, opt.sta, 1);
+  timer.flush();
+  const qor::QorSnapshot inc = qor::capture(timer, opt);
+  EXPECT_EQ(inc.wave_levels, batch.wave_levels);
+  EXPECT_EQ(inc.wave_widest, batch.wave_widest);
+  EXPECT_EQ(inc.wave_narrow_fraction, batch.wave_narrow_fraction);
 }
 
 TEST(WaveProfile, CountersAreThreadCountInvariant) {
   netlist::Netlist& nl = small_design();
   const auto run = [&](int threads) {
     common::metrics().reset();
-    sta::StaOptions opt;
-    opt.graph = sta::GraphKind::kCompact;
-    sta::IncrementalTimer timer(nl, opt, threads);
+    sta::IncrementalTimer timer(nl, sta::StaOptions{}, threads);
     timer.flush();
     common::MetricsSnapshot snap = common::metrics().snapshot();
     // Wall metrics (pool dispatch decisions) are allowed to differ.

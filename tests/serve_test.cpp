@@ -16,11 +16,16 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/metrics.hpp"
+#include "core/flow.hpp"
+#include "designs/registry.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serve_cli.hpp"
 #include "serve/server.hpp"
 #include "sta/incremental.hpp"
+#include "sta/report.hpp"
+#include "tech/technology.hpp"
 
 namespace gap::serve {
 namespace {
@@ -292,6 +297,49 @@ TEST(ServeSession, AllQueriesAnswerValidJson) {
   }
   const std::string stats = server.handle_line("{\"cmd\":\"stats\"}");
   EXPECT_TRUE(reply_ok(stats));
+}
+
+/// A `timing` reply renders the arrivals the resident timer recorded on
+/// its critical path: once the timer is warm, neither an incremental edit
+/// nor the report behind the reply runs a full arrival pass.
+TEST(ServeSession, WarmTimingRequestsRunNoArrivalPass) {
+  Server server({});
+  ASSERT_TRUE(reply_ok(server.handle_line(load_frame("s1"))));
+  ASSERT_TRUE(reply_ok(server.handle_line(query_frame("timing", "s1"))));
+  const common::Counter& passes =
+      common::metrics().counter("sta.arrival_passes");
+  const std::uint64_t before = passes.value();
+  ASSERT_TRUE(reply_ok(server.handle_line(query_frame("timing", "s1"))));
+  ASSERT_TRUE(reply_ok(server.handle_line(drive_frame("s1", 3, 2.5))));
+  ASSERT_TRUE(reply_ok(server.handle_line(query_frame("timing", "s1"))));
+  EXPECT_EQ(passes.value(), before);
+}
+
+/// cmd_timing / cmd_slacks / cmd_qor splice the timing renderers into
+/// replies as they are, so on every registry design each rendering must
+/// already be one line and the compact dump() form of itself.
+TEST(ServeSession, TimingRenderersEmitCompactJson) {
+  const core::Flow flow(tech::asic_025um());
+  for (const char* meth : {"typical", "custom"}) {
+    const core::Methodology m = *core::methodology_by_name(meth);
+    const sta::StaOptions opt = core::signoff_sta_options(m);
+    for (const std::string& name : designs::design_names()) {
+      const core::FlowResult r =
+          flow.run(designs::make_design(name, m.datapath), m);
+      ASSERT_TRUE(r.ok() && r.nl) << name;
+      const sta::TimingResult timing = sta::analyze(*r.nl, opt);
+      const std::string path = sta::critical_path_json(*r.nl, opt, timing);
+      const std::string hist =
+          sta::slack_histogram_json(sta::slack_histogram_from_slacks(
+              sta::net_slacks(*r.nl, opt, timing.min_period_tau)));
+      for (const std::string& text : {path, hist}) {
+        EXPECT_EQ(text.find('\n'), std::string::npos) << name;
+        const auto v = Value::parse(text);
+        ASSERT_TRUE(v.has_value()) << name << ": " << text;
+        EXPECT_EQ(v->dump(), text) << name;
+      }
+    }
+  }
 }
 
 TEST(ServeSession, RejectedEditLeavesStateUntouched) {

@@ -1,33 +1,44 @@
 /// \file soa_graph_test.cpp
-/// Differential + structural suite for the flat SoA timing graph
-/// (sta/compact_graph.hpp), run under `ctest -L soa`. Three concerns:
+/// Differential + structural suite for the timing graph
+/// (sta/compact_graph.hpp) and the engines built on it, run under
+/// `ctest -L soa`. Four concerns:
 ///
-///  1. **Byte-identity across layouts.** Every batch query (analyze,
-///     net_arrivals, net_slacks, top_critical_paths) and every resident
-///     IncrementalTimer query must return bit-identical doubles whether
-///     StaOptions::graph is kPointer or kCompact, at 1 and at N threads.
-///     Both layouts instantiate the same kernels (sta/kernels.hpp), so
-///     any difference is a transcription bug, not a rounding debate.
-///
-///  2. **Construction round-trips.** For every designs::registry entry:
-///     node/edge/port counts match the netlist, ids are positional and
-///     stable across rebuilds, the levelization is a valid wavefront
-///     schedule, and rebuild-after-edit lands on the same bytes as a
-///     fresh build from the edited netlist.
-///
-///  3. **Staleness bookkeeping.** built_version() tracks structural
+///  1. **Agreement with an independent reference STA.** Every batch query
+///     (analyze, net_arrivals, net_slacks, top_critical_paths) over every
+///     designs::registry entry, Monte Carlo STA on its shared graph, and
+///     twin resident IncrementalTimers over randomized edit scripts must
+///     match tests/reference_sta.hpp — a plain netlist walk that shares no
+///     code with sta/kernels.hpp — so a wrong kernel formula fails here
+///     even though every engine evaluates the same kernels.
+///  2. **Thread-count invariance.** The twin timers run at 1 and 4 lanes
+///     and must stay bitwise equal to each other at every step.
+///  3. **Construction round-trips.** For every registry entry: node/edge/
+///     port counts match the netlist, ids are positional and stable across
+///     rebuilds, the levelization is a valid wavefront schedule, and
+///     rebuild-after-edit lands on the same bytes as a fresh build from the
+///     edited netlist.
+///  4. **Staleness bookkeeping.** built_version() tracks structural
 ///     (re)builds of Netlist::version(); value patches refresh in place.
+///
+/// The reference evaluates every quantity in the engines' expression
+/// order, so values are compared bit for bit. The one tolerance,
+/// kRelTol, decides only when a worst endpoint is unique enough that the
+/// critical-path instance lists must agree too (ties are broken by
+/// convention, not by the model).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "designs/registry.hpp"
 #include "library/builders.hpp"
 #include "pipeline/pipeline.hpp"
+#include "place/place.hpp"
+#include "reference_sta.hpp"
 #include "sizing/tilos.hpp"
 #include "sta/compact_graph.hpp"
 #include "sta/incremental.hpp"
@@ -42,8 +53,10 @@ namespace {
 using netlist::Netlist;
 using sta::CompactGraph;
 using sta::Edit;
-using sta::GraphKind;
 using sta::IncrementalTimer;
+
+/// Relative separation above which a worst endpoint counts as unique.
+constexpr double kRelTol = 1e-12;
 
 /// Map + pipeline one registry design into the register-bounded netlist
 /// the timing engines see in the real flow.
@@ -59,50 +72,100 @@ Netlist implemented(const std::string& name,
   return nl;
 }
 
-[[nodiscard]] sta::StaOptions options_variant(int v, GraphKind graph) {
+/// implemented() plus a placement, so nets carry wire lengths. `scatter`
+/// strews the cells over a 1.5 mm die, giving long nets that take the
+/// optimal-repeater branch; otherwise a short careful placement.
+Netlist placed(const std::string& name, const library::CellLibrary& lib,
+               bool scatter) {
+  Netlist nl = implemented(name, lib);
+  place::PlaceOptions popt;
+  popt.mode = scatter ? place::PlacementMode::kScattered
+                      : place::PlacementMode::kCareful;
+  popt.scatter_die_mm = 1.5;
+  popt.sa_moves = 2000;
+  place::place(nl, popt);
+  return nl;
+}
+
+/// Option variants flipping the repeater branch, the corner factor and
+/// the clock skew (fractional and absolute).
+[[nodiscard]] sta::StaOptions options_variant(int v) {
   sta::StaOptions opt;
-  opt.graph = graph;
   opt.optimal_repeaters = v % 2 == 1;
   opt.corner_delay_factor = v % 3 == 0 ? 1.0 : 1.15;
+  opt.clock.skew_fraction = v % 4 < 2 ? 0.10 : 0.05;
+  opt.clock.extra_skew_tau = v % 5 == 2 ? 1.5 : 0.0;
   return opt;
+}
+
+void expect_bits(double got, double want, const std::string& what) {
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+      << what << ": got " << got << ", want " << want;
 }
 
 void expect_bytes_equal(const std::vector<double>& got,
                         const std::vector<double>& want, const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
-  EXPECT_EQ(
-      std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
-      << what << " differ between graph layouts";
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (std::memcmp(&got[i], &want[i], sizeof(double)) != 0) {
+      ADD_FAILURE() << what << " differ first at index " << i << ": got "
+                    << got[i] << ", want " << want[i];
+      return;
+    }
 }
 
-void expect_timing_equal(const sta::TimingResult& a,
-                         const sta::TimingResult& b) {
-  EXPECT_EQ(
-      std::memcmp(&a.worst_path_tau, &b.worst_path_tau, sizeof(double)), 0);
-  EXPECT_EQ(
-      std::memcmp(&a.min_period_tau, &b.min_period_tau, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.min_period_ps, &b.min_period_ps, sizeof(double)),
-            0);
-  EXPECT_EQ(a.num_endpoints, b.num_endpoints);
-  EXPECT_EQ(a.critical_path, b.critical_path);
+/// True when no endpoint on another net comes within kRelTol of
+/// `path_tau` — the path through `net` is then the model's answer, not a
+/// tie-break.
+bool unique_endpoint(const ref::Timing& t, NetId net, double path_tau) {
+  for (const ref::Endpoint& e : t.endpoints)
+    if (e.net != net &&
+        std::abs(e.path_tau - path_tau) <= kRelTol * std::abs(path_tau))
+      return false;
+  return true;
 }
 
-void expect_paths_equal(const std::vector<sta::CriticalPath>& a,
-                        const std::vector<sta::CriticalPath>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t p = 0; p < a.size(); ++p) {
-    EXPECT_EQ(a[p].endpoint_net, b[p].endpoint_net) << p;
-    EXPECT_EQ(a[p].endpoint.kind, b[p].endpoint.kind) << p;
-    EXPECT_EQ(
-        std::memcmp(&a[p].path_tau, &b[p].path_tau, sizeof(double)), 0)
-        << p;
-    ASSERT_EQ(a[p].nodes.size(), b[p].nodes.size()) << p;
-    for (std::size_t i = 0; i < a[p].nodes.size(); ++i) {
-      EXPECT_EQ(a[p].nodes[i].inst, b[p].nodes[i].inst) << p << ":" << i;
-      EXPECT_EQ(std::memcmp(&a[p].nodes[i].arrival_tau,
-                            &b[p].nodes[i].arrival_tau, sizeof(double)),
-                0)
-          << p << ":" << i;
+/// analyze()-equivalent result against the reference on `nl`. Returns
+/// whether the critical path was unique enough to compare.
+bool expect_timing_matches(const sta::TimingResult& got, const Netlist& nl,
+                           const sta::StaOptions& opt) {
+  const sta::TimingResult want = ref::analyze(nl, opt);
+  expect_bits(got.worst_path_tau, want.worst_path_tau, "worst_path_tau");
+  expect_bits(got.min_period_tau, want.min_period_tau, "min_period_tau");
+  expect_bits(got.min_period_ps, want.min_period_ps, "min_period_ps");
+  expect_bits(got.min_period_fo4, want.min_period_fo4, "min_period_fo4");
+  EXPECT_EQ(got.num_endpoints, want.num_endpoints);
+  const ref::Timing t = ref::forward(nl, opt);
+  const ref::Endpoint* worst = ref::worst_endpoint(t);
+  if (worst == nullptr || !unique_endpoint(t, worst->net, worst->path_tau))
+    return false;
+  EXPECT_EQ(got.critical_path, want.critical_path);
+  expect_bytes_equal(got.critical_arrival_tau, want.critical_arrival_tau,
+                     "critical-path arrivals");
+  return true;
+}
+
+void expect_paths_match(const std::vector<sta::CriticalPath>& got,
+                        const Netlist& nl, const sta::StaOptions& opt,
+                        int k) {
+  const std::vector<sta::CriticalPath> want = ref::top_paths(nl, opt, k);
+  const ref::Timing t = ref::forward(nl, opt);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    expect_bits(got[p].path_tau, want[p].path_tau,
+                "path " + std::to_string(p));
+    if (!unique_endpoint(t, want[p].endpoint_net, want[p].path_tau))
+      continue;
+    EXPECT_EQ(got[p].endpoint_net, want[p].endpoint_net) << p;
+    EXPECT_EQ(got[p].endpoint, want[p].endpoint) << p;
+    ASSERT_EQ(got[p].nodes.size(), want[p].nodes.size()) << p;
+    for (std::size_t i = 0; i < got[p].nodes.size(); ++i) {
+      const std::string at =
+          "path " + std::to_string(p) + " node " + std::to_string(i);
+      EXPECT_EQ(got[p].nodes[i].inst, want[p].nodes[i].inst) << at;
+      EXPECT_EQ(got[p].nodes[i].input_net, want[p].nodes[i].input_net) << at;
+      expect_bits(got[p].nodes[i].arrival_tau, want[p].nodes[i].arrival_tau,
+                  at);
     }
   }
 }
@@ -113,59 +176,68 @@ class SoaGraph : public ::testing::Test {
   library::CellLibrary lib_;
 };
 
-// --- 1. batch queries: pointer vs compact -----------------------------------
+// --- batch queries vs the reference --------------------------------------
 
 /// Every batch query, over every registry design, across the option
-/// variants that flip the repeater branch and the corner factor.
-TEST_F(SoaGraph, BatchQueriesMatchPointerPath) {
+/// variants and both placements.
+TEST_F(SoaGraph, BatchQueriesMatchReferenceSta) {
   int v = 0;
+  int unique_paths = 0;
+  int repeated_nets = 0;
   for (const std::string& name : designs::design_names()) {
-    const Netlist nl = implemented(name, lib_);
-    const sta::StaOptions po = options_variant(v, GraphKind::kPointer);
-    const sta::StaOptions co = options_variant(v, GraphKind::kCompact);
-    ++v;
+    SCOPED_TRACE(name);
+    const Netlist nl = placed(name, lib_, v % 4 < 2);
+    ASSERT_EQ(ref::topological(nl).size(), nl.num_instances());
+    const sta::StaOptions opt = options_variant(v++);
+    if (opt.optimal_repeaters)
+      for (NetId n : nl.all_nets())
+        if (ref::wire_of(nl, n, opt).load != nl.net_load(n)) ++repeated_nets;
 
-    const sta::TimingResult pr = sta::analyze(nl, po);
-    const sta::TimingResult cr = sta::analyze(nl, co);
-    expect_timing_equal(pr, cr);
-
-    expect_bytes_equal(sta::net_arrivals(nl, co), sta::net_arrivals(nl, po),
-                       "arrivals");
-    expect_bytes_equal(sta::net_slacks(nl, co, pr.min_period_tau),
-                       sta::net_slacks(nl, po, pr.min_period_tau), "slacks");
-    expect_paths_equal(sta::top_critical_paths(nl, co, 5),
-                       sta::top_critical_paths(nl, po, 5));
+    const sta::TimingResult r = sta::analyze(nl, opt);
+    if (expect_timing_matches(r, nl, opt)) ++unique_paths;
+    expect_bytes_equal(sta::net_arrivals(nl, opt),
+                       ref::forward(nl, opt).arrival, "arrivals");
+    expect_bytes_equal(sta::net_slacks(nl, opt, r.min_period_tau),
+                       ref::slacks(nl, opt, r.min_period_tau), "slacks");
+    expect_paths_match(sta::top_critical_paths(nl, opt, 5), nl, opt, 5);
     if (HasFatalFailure()) return;
   }
+  EXPECT_GT(unique_paths, 0);
+  EXPECT_GT(repeated_nets, 0);  // the repeater branch was exercised
 }
 
-/// Monte Carlo signoff reuses one shared graph across samples on the
-/// compact path; every sampled period (so every quantile) must still be
-/// the bytes the per-sample pointer analyses produce.
-TEST_F(SoaGraph, MonteCarloMatchesPointerPath) {
-  const Netlist nl = implemented("mac8", lib_);
+/// Monte Carlo signoff shares one graph across samples; every sampled
+/// period must be the reference period of the same sample's delay
+/// factors, drawn from the same Rng::stream.
+TEST_F(SoaGraph, MonteCarloMatchesReferenceSta) {
+  const Netlist nl = placed("mac8", lib_, true);
   for (int threads : {1, 4}) {
-    sta::McStaOptions pm;
-    pm.base = options_variant(1, GraphKind::kPointer);
-    pm.samples = 32;
-    pm.threads = threads;
-    sta::McStaOptions cm = pm;
-    cm.base.graph = GraphKind::kCompact;
+    sta::McStaOptions mc;
+    mc.base = options_variant(1);
+    mc.samples = 32;
+    mc.sigma_die = 0.03;
+    mc.threads = threads;
+    const sta::McStaResult r = sta::monte_carlo_sta(nl, mc);
+    expect_bits(r.nominal_period_tau,
+                ref::analyze(nl, mc.base).min_period_tau, "nominal");
 
-    const sta::McStaResult pr = sta::monte_carlo_sta(nl, pm);
-    const sta::McStaResult cr = sta::monte_carlo_sta(nl, cm);
-    EXPECT_EQ(std::memcmp(&pr.nominal_period_tau, &cr.nominal_period_tau,
-                          sizeof(double)),
-              0);
-    for (double q : {0.05, 0.5, 0.95}) {
-      const double a = pr.period_tau.quantile(q);
-      const double b = cr.period_tau.quantile(q);
-      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "quantile " << q;
+    const std::vector<double>& got = r.period_tau.samples();
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(mc.samples));
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      Rng rng = Rng::stream(mc.seed, s);
+      const double die = std::exp(mc.sigma_die * rng.normal());
+      std::vector<double> factors(nl.num_instances());
+      for (double& f : factors)
+        f = die * std::exp(mc.sigma_gate * rng.normal());
+      sta::StaOptions opt = mc.base;
+      opt.instance_delay_factors = &factors;
+      expect_bits(got[s], ref::analyze(nl, opt).min_period_tau,
+                  "sample " + std::to_string(s));
     }
   }
 }
 
-// --- 2. construction round-trips --------------------------------------------
+// --- construction round-trips --------------------------------------------
 
 /// Counts, per-element values, and adjacency all round-trip the netlist,
 /// for every registry entry.
@@ -184,7 +256,7 @@ TEST_F(SoaGraph, ConstructionRoundTripsEveryRegistryDesign) {
       pins += inst.inputs.size();
       EXPECT_EQ(g.output(id), inst.output);
       EXPECT_EQ(g.is_sequential(id), nl.is_sequential(id));
-      // Value arrays hold the exact bytes the pointer path derives.
+      // Value arrays hold the exact bytes the Netlist accessors derive.
       const double want_drive = nl.drive_of(id);
       const double got_drive = g.drive(id);
       const double want_cap = nl.pin_cap(id);
@@ -315,14 +387,14 @@ TEST_F(SoaGraph, StableIdsAndRebuildAfterEditEqualsFreshBuild) {
     for (std::size_t p = 0; p < ga.size(); ++p) EXPECT_EQ(ga[p], gf[p]);
   }
   // Propagation over both graphs is byte-identical.
-  const sta::StaOptions opt = options_variant(0, GraphKind::kCompact);
+  const sta::StaOptions opt = options_variant(0);
   sta::detail::ArrivalState sa, sf;
   sta::compact_propagate(a, opt, sa);
   sta::compact_propagate(fresh, opt, sf);
   expect_bytes_equal(sa.arrival, sf.arrival, "arrivals after rebuild");
 }
 
-// --- 3. staleness bookkeeping -----------------------------------------------
+// --- staleness bookkeeping -----------------------------------------------
 
 /// built_version() records the netlist version at (re)build time; value
 /// patches deliberately do not advance it.
@@ -341,7 +413,7 @@ TEST_F(SoaGraph, BuiltVersionTracksStructuralRebuilds) {
   EXPECT_EQ(g.built_version(), nl.version());
 }
 
-// --- incremental timer: pointer vs compact ----------------------------------
+// --- incremental timers: 1 vs 4 lanes vs the reference -----------------
 
 Edit random_edit(Rng& rng, const Netlist& nl) {
   const auto pick_inst = [&] {
@@ -379,44 +451,79 @@ Edit random_edit(Rng& rng, const Netlist& nl) {
   }
 }
 
-/// Twin resident timers — one per layout, driven by the same randomized
-/// edit scripts at alternating 1/4 lanes — answer every query with
-/// identical bytes, mid-script and at the end. This is the differential
-/// contract the flow, gapd and TILOS lean on when they flip --graph.
-TEST_F(SoaGraph, IncrementalTimersMatchAcrossLayoutsAndThreads) {
-  const Netlist base = implemented("alu16", lib_);
+/// Apply an accepted edit to a plain netlist copy, bypassing the timer.
+void mirror_apply(Netlist& nl, sta::StaOptions& opt, const Edit& e) {
+  switch (e.kind) {
+    case Edit::Kind::kReplaceCell:
+      nl.replace_cell(e.inst, e.cell);
+      break;
+    case Edit::Kind::kSetDriveOverride:
+      nl.instance(e.inst).drive_override = e.drive;
+      break;
+    case Edit::Kind::kRewireInput:
+      nl.rewire_input(e.inst, e.pin, e.net);
+      break;
+    case Edit::Kind::kSetClock:
+      opt.clock = e.clock;
+      break;
+  }
+}
+
+/// Twin resident timers at 1 and 4 lanes, driven by the same randomized
+/// edit scripts in batches of 1-3 edits, stay bitwise equal to each other
+/// after every batch, and match the reference run on a mirror netlist the
+/// test edits directly. This is the contract the flow, gapd and TILOS
+/// lean on.
+TEST_F(SoaGraph, IncrementalTimersMatchAcrossThreadsAndReference) {
+  const Netlist careful = placed("alu16", lib_, false);
+  const Netlist scattered = placed("alu16", lib_, true);
   constexpr std::uint64_t kSeed = 0x50A0ull;
   constexpr int kScripts = 24;
   constexpr int kEdits = 12;
   int applied = 0;
   for (int script = 0; script < kScripts; ++script) {
-    Netlist np = base;
-    Netlist nc = base;
-    IncrementalTimer tp(np, options_variant(script, GraphKind::kPointer),
-                        script % 2 == 0 ? 1 : 4);
-    IncrementalTimer tc(nc, options_variant(script, GraphKind::kCompact),
-                        script % 2 == 0 ? 4 : 1);
-    Rng rp = Rng::stream(kSeed, static_cast<std::uint64_t>(script));
-    Rng rc = Rng::stream(kSeed, static_cast<std::uint64_t>(script));
+    SCOPED_TRACE("script " + std::to_string(script));
+    const Netlist& base = script % 4 < 2 ? scattered : careful;
+    Netlist n1 = base;
+    Netlist n4 = base;
+    Netlist mirror = base;
+    sta::StaOptions mirror_opt = options_variant(script);
+    IncrementalTimer t1(n1, mirror_opt, 1);
+    IncrementalTimer t4(n4, mirror_opt, 4);
+    Rng rng = Rng::stream(kSeed, static_cast<std::uint64_t>(script));
+    const int batch = 1 + script % 3;
     for (int e = 0; e < kEdits; ++e) {
-      const common::Status sp = tp.apply(random_edit(rp, np));
-      const common::Status sc = tc.apply(random_edit(rc, nc));
-      ASSERT_EQ(sp.ok(), sc.ok());
-      if (sp.ok()) ++applied;
-      if (e % 5 == 4) {
-        expect_bytes_equal(tc.arrivals(), tp.arrivals(), "arrivals");
-        if (HasFatalFailure()) return;
+      const Edit edit = random_edit(rng, mirror);
+      const common::Status s1 = t1.apply(edit);
+      const common::Status s4 = t4.apply(edit);
+      ASSERT_EQ(s1.ok(), s4.ok());
+      if (s1.ok()) {
+        mirror_apply(mirror, mirror_opt, edit);
+        ++applied;
       }
+      if (e % batch != batch - 1) continue;
+
+      expect_bytes_equal(t4.arrivals(), t1.arrivals(), "1 vs 4 lanes");
+      expect_bytes_equal(t1.arrivals(), ref::forward(mirror, mirror_opt).arrival,
+                         "arrivals vs reference");
+      const sta::TimingResult tr = t1.timing();
+      expect_timing_matches(tr, mirror, mirror_opt);
+      expect_timing_matches(t4.timing(), mirror, mirror_opt);
+      const std::vector<double> want =
+          ref::slacks(mirror, mirror_opt, tr.min_period_tau);
+      expect_bytes_equal(t1.slacks(tr.min_period_tau), want, "slacks");
+      expect_bytes_equal(t4.slacks(tr.min_period_tau), want, "slacks");
+      expect_paths_match(t1.top_paths(5), mirror, mirror_opt, 5);
+      expect_paths_match(t4.top_paths(5), mirror, mirror_opt, 5);
+      if (HasFatalFailure()) return;
     }
-    expect_timing_equal(tc.timing(), tp.timing());
-    const double period = tp.timing().min_period_tau;
-    expect_bytes_equal(tc.slacks(period), tp.slacks(period), "slacks");
-    expect_paths_equal(tc.top_paths(5), tp.top_paths(5));
-    // invalidate_all(): the full-rebuild path of both layouts.
-    tp.invalidate_all();
-    tc.invalidate_all();
-    expect_bytes_equal(tc.arrivals(), tp.arrivals(),
+    // invalidate_all(): the full-rebuild path.
+    t1.invalidate_all();
+    t4.invalidate_all();
+    expect_bytes_equal(t1.arrivals(), ref::forward(mirror, mirror_opt).arrival,
                        "arrivals after invalidate_all");
+    expect_bytes_equal(t4.arrivals(), t1.arrivals(),
+                       "1 vs 4 lanes after invalidate_all");
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(applied, kScripts * kEdits / 2);
