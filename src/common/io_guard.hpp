@@ -1,7 +1,7 @@
 #pragma once
 /// \file io_guard.hpp
-/// Output-path hardening for the CLI tools (gapflow, gapreport, gaplint,
-/// gapd). Two failure modes exist when a tool's stdout is a pipe whose
+/// Output-path hardening for the CLI tools (gapflow, gaplint, gapd,
+/// gapstat). Two failure modes exist when a tool's stdout is a pipe whose
 /// reader went away:
 ///
 ///  1. SIGPIPE kills the process silently (default disposition), so the

@@ -1,11 +1,11 @@
 #pragma once
 /// \file json.hpp
-/// Minimal JSON helpers shared by the observability exporters (trace.cpp,
-/// metrics.cpp, qor/manifest.cpp) and the in-repo consumers that read
-/// JSON back: `gapreport`, which diffs QoR run manifests, and `gapd`,
-/// which parses untrusted protocol frames. Emission is header-only;
-/// parsing lives in json.cpp as a small recursive-descent DOM (`Value`)
-/// with no external dependency.
+/// Minimal JSON helpers shared by the JSON writers (trace.cpp,
+/// obs/flight.cpp, qor/manifest.cpp) and the in-repo consumers that read
+/// JSON back: `gapstat`, which diffs QoR run manifests and flight dumps,
+/// and `gapd`, which parses untrusted protocol frames. Emission is
+/// header-only; parsing lives in json.cpp as a small recursive-descent
+/// DOM (`Value`) with no external dependency.
 ///
 /// Untrusted input: parse_checked() never aborts and never overflows the
 /// stack — nesting is depth-limited (kMaxParseDepth), and every rejection

@@ -2,10 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <ostream>
-#include <sstream>
-
-#include "common/json.hpp"
 
 namespace gap::common {
 namespace {
@@ -140,55 +136,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 bool MetricsRegistry::is_wall_metric(const std::string& name) {
   return name.rfind("wall.", 0) == 0;
-}
-
-void MetricsRegistry::write_json(std::ostream& os, bool include_wall) const {
-  const MetricsSnapshot s = snapshot();
-  const auto skip = [&](const std::string& name) {
-    return !include_wall && is_wall_metric(name);
-  };
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : s.counters) {
-    if (skip(name)) continue;
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json::escape(name) << "\":" << v;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : s.gauges) {
-    if (skip(name)) continue;
-    if (!first) os << ',';
-    first = false;
-    const double safe = std::isfinite(v) ? v : 0.0;
-    os << '"' << json::escape(name) << "\":" << json::number(safe);
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : s.histograms) {
-    if (skip(name)) continue;
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json::escape(name) << "\":{\"count\":" << h.count
-       << ",\"clamped\":" << h.clamped << ",\"min\":" << json::number(h.min)
-       << ",\"max\":" << json::number(h.max) << ",\"buckets\":[";
-    bool bfirst = true;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] == 0) continue;
-      if (!bfirst) os << ',';
-      bfirst = false;
-      os << '[' << i << ',' << h.buckets[i] << ']';
-    }
-    os << "]}";
-  }
-  os << "}}\n";
-}
-
-std::string MetricsRegistry::json(bool include_wall) const {
-  std::ostringstream os;
-  write_json(os, include_wall);
-  return os.str();
 }
 
 MetricsRegistry& metrics() {

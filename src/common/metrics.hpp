@@ -1,7 +1,8 @@
 #pragma once
 /// \file metrics.hpp
-/// Named counters / gauges / histograms for the flow engines, exportable
-/// as stable JSON (gapflow --metrics-out FILE). Three contracts:
+/// Named counters / gauges / histograms for the flow engines, exported
+/// as Prometheus exposition text by obs::expose_text (gapflow
+/// --metrics-out FILE, gapd --expose-out FILE). Three contracts:
 ///
 ///  1. **Exactness.** Counters are atomic; concurrent increments from
 ///     ThreadPool lanes never lose updates, so totals are exact.
@@ -11,7 +12,8 @@
 ///     order-independent state (bucket counts, count, min, max — no
 ///     floating-point running sum, whose value would depend on addition
 ///     order). `--threads 1` and `--threads N` therefore produce
-///     identical metric files for the same seed.
+///     identical metric files for the same seed (outside the "wall."
+///     section, see is_wall_metric).
 ///  3. **Longevity.** Metric objects registered in a registry are never
 ///     deallocated before process exit; reset() zeroes values but keeps
 ///     registrations. Engines may therefore cache references:
@@ -25,7 +27,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -153,19 +154,11 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Stable JSON: {"counters":{...},"gauges":{...},"histograms":{...}}
-  /// with keys sorted by name. Histogram buckets are emitted sparsely as
-  /// [[index,count],...].
-  ///
-  /// Metrics whose name starts with "wall." hold wall-clock measurements
-  /// (latencies, dispatch decisions taken by the pool) and are the one
-  /// sanctioned exception to the determinism contract. write_json drops
-  /// them by default so `--metrics-out` files stay byte-identical across
-  /// thread counts; pass include_wall=true for exposition-style dumps.
-  void write_json(std::ostream& os, bool include_wall = false) const;
-  [[nodiscard]] std::string json(bool include_wall = false) const;
-
-  /// True for metric names in the non-deterministic wall-clock section.
+  /// True for metric names in the wall-clock section: names starting
+  /// with "wall." hold wall-clock measurements (latencies, dispatch
+  /// decisions taken by the pool) and are the one sanctioned exception to
+  /// the determinism contract. The exposition renderer (obs/expose.hpp)
+  /// emits them after its wall marker so the rest stays byte-comparable.
   [[nodiscard]] static bool is_wall_metric(const std::string& name);
 
  private:

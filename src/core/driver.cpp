@@ -16,6 +16,7 @@
 #include "netlist/stats.hpp"
 #include "netlist/verilog.hpp"
 #include "noise/crosstalk.hpp"
+#include "obs/expose.hpp"
 #include "power/power.hpp"
 #include "qor/manifest.hpp"
 #include "sta/report.hpp"
@@ -65,10 +66,11 @@ void print_help(std::ostream& os) {
         "  --trace-out FILE       write a Chrome trace_event JSON of the\n"
         "                         run (chrome://tracing / Perfetto)\n"
         "  --metrics-out FILE     write engine counters/histograms as\n"
-        "                         JSON (docs/observability.md)\n"
+        "                         gap-expose-v1 Prometheus text\n"
+        "                         (docs/observability.md, read with gapstat)\n"
         "  --qor-out FILE         write the QoR run manifest: per-stage\n"
         "                         snapshots + gap-factor attribution\n"
-        "                         (docs/qor.md, diff with gapreport)\n"
+        "                         (docs/qor.md, diff with gapstat)\n"
         "  --check-liberty FILE   lint a Liberty file and exit\n"
         "  --check-verilog FILE   lint a Verilog file (against the\n"
         "                         methodology's library) and exit\n"
@@ -136,7 +138,7 @@ class ObservabilityOutputs {
         return Status::error(ErrorCode::kIo,
                              "cannot write '" + metrics_path_ + "'", {},
                              "gapflow");
-      common::metrics().write_json(os);
+      os << obs::expose_text(common::metrics());
       out << "wrote " << metrics_path_ << '\n';
       metrics_path_.clear();
     }

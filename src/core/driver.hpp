@@ -32,7 +32,7 @@ struct DriverArgs {
   std::string check_liberty;  ///< lint a Liberty file and exit
   std::string check_verilog;  ///< lint a Verilog file and exit
   std::string trace_out;      ///< Chrome trace_event JSON output path
-  std::string metrics_out;    ///< engine-metrics JSON output path
+  std::string metrics_out;    ///< engine-metrics exposition output path
   std::string qor_out;        ///< QoR run-manifest JSON output path
   std::optional<int> stages;
   std::optional<std::string> corner;

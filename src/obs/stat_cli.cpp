@@ -23,10 +23,11 @@ constexpr const char* kUsage =
     "       gapstat diff OLD NEW         [--format text|csv|json] [--strict]\n"
     "       gapstat agg FILE [FILE...]   [--format text|csv|json]\n"
     "\n"
-    "Load, diff, and aggregate gap telemetry files: metrics JSON\n"
-    "(gapflow --metrics-out), Prometheus exposition text\n"
-    "(gapd --expose-out), and gap-flight-v1 flight-recorder dumps.\n"
-    "The format of each input is sniffed, so mixed diffs work.\n"
+    "Load, diff, and aggregate gap run artifacts: Prometheus\n"
+    "exposition text (gapflow --metrics-out, gapd --expose-out),\n"
+    "gap-flight-v1 flight-recorder dumps, and QoR run manifests\n"
+    "(gapflow --qor-out). The format of each input is sniffed, so\n"
+    "mixed diffs work. diff --strict exits 1 on any difference.\n"
     "See docs/observability.md.\n";
 
 /// How a value combines under `agg` (and renders in `show`).
@@ -50,26 +51,41 @@ void put(StatMap& m, const std::string& name, StatKind kind, double v) {
   m[name] = StatValue{kind, v};
 }
 
-/// {"counters":{..},"gauges":{..},"histograms":{..}} from
-/// MetricsRegistry::write_json.
-bool load_metrics_json(const json::Value& doc, StatMap& m) {
-  const json::Value* counters = doc.find("counters");
-  const json::Value* gauges = doc.find("gauges");
-  const json::Value* histograms = doc.find("histograms");
-  if (counters == nullptr || gauges == nullptr || histograms == nullptr)
-    return false;
-  for (const auto& [name, v] : counters->object)
-    put(m, name, StatKind::kCounter, v.number_or(0.0));
-  for (const auto& [name, v] : gauges->object)
-    put(m, name, StatKind::kGauge, v.number_or(0.0));
-  for (const auto& [name, h] : histograms->object) {
-    put(m, name + ".count", StatKind::kCounter, h.member_number("count", 0));
-    put(m, name + ".clamped", StatKind::kCounter,
-        h.member_number("clamped", 0));
-    put(m, name + ".min", StatKind::kMin, h.member_number("min", 0));
-    put(m, name + ".max", StatKind::kGauge, h.member_number("max", 0));
+/// Flatten one JSON value of a QoR manifest under `path`: numbers are
+/// values, booleans 0/1, strings and nulls carry no value. Array
+/// elements that are objects with a "name" member are keyed by that
+/// name, all others by index. Two spellings keep manifest paths short:
+/// the "stages" array is keyed "stage", and a stage's "qor" snapshot
+/// adds no segment (stage.signoff.min_period_tau).
+void flatten(const json::Value& v, const std::string& path, StatMap& m) {
+  const auto child = [&](const std::string& key) {
+    return path.empty() ? key : path + '.' + key;
+  };
+  switch (v.kind) {
+    case json::Value::Kind::kNumber:
+      put(m, path, StatKind::kGauge, v.num);
+      break;
+    case json::Value::Kind::kBool:
+      put(m, path, StatKind::kGauge, v.boolean ? 1.0 : 0.0);
+      break;
+    case json::Value::Kind::kArray:
+      for (std::size_t i = 0; i < v.array.size(); ++i) {
+        const json::Value* name = v.array[i].find("name");
+        flatten(v.array[i],
+                child(name != nullptr && name->is_string() ? name->str
+                                                          : std::to_string(i)),
+                m);
+      }
+      break;
+    case json::Value::Kind::kObject:
+      for (const auto& [key, member] : v.object) {
+        if (key == "qor") flatten(member, path, m);
+        else flatten(member, child(key == "stages" ? "stage" : key), m);
+      }
+      break;
+    default:
+      break;
   }
-  return true;
 }
 
 /// gap-flight-v1 dump: per-kind event tallies plus the ring accounting.
@@ -156,13 +172,16 @@ int load_file(const std::string& path, StatMap& m, std::ostream& err) {
           << "': " << doc.status().message() << '\n';
       return kStatExitParse;
     }
-    ok = doc->member_string("flight", "") == "gap-flight-v1"
-             ? load_flight_json(*doc, m)
-             : load_metrics_json(*doc, m);
+    if (doc->member_string("flight", "") == "gap-flight-v1") {
+      ok = load_flight_json(*doc, m);
+    } else if (doc->member_string("tool", "") == "gapflow") {
+      flatten(*doc, "", m);
+      ok = true;
+    }
   }
   if (!ok) {
     err << "gapstat: error[parse]: '" << path
-        << "' is not a metrics JSON, exposition, or flight file\n";
+        << "' is not an exposition, flight, or QoR manifest file\n";
     return kStatExitParse;
   }
   return kStatExitOk;
@@ -207,34 +226,44 @@ void render_map(const StatMap& m, Format format, std::ostream& out) {
   if (format == Format::kJson) out << "}\n";
 }
 
-/// Entries present in either map whose values differ (absent = 0).
+/// Entries whose values differ, or that exist in one map only (a key
+/// that vanished is a difference even when its value was 0).
 [[nodiscard]] std::size_t render_diff(const StatMap& a, const StatMap& b,
                                       Format format, std::ostream& out) {
-  std::map<std::string, std::pair<double, double>> rows;
-  for (const auto& [name, v] : a) rows[name].first = v.value;
-  for (const auto& [name, v] : b) rows[name].second = v.value;
+  std::map<std::string, std::pair<const StatValue*, const StatValue*>> rows;
+  for (const auto& [name, v] : a) rows[name].first = &v;
+  for (const auto& [name, v] : b) rows[name].second = &v;
   std::size_t differing = 0;
   if (format == Format::kCsv) out << "name,old,new,delta\n";
   if (format == Format::kJson) out << '{';
   bool first = true;
   for (const auto& [name, ab] : rows) {
-    if (ab.first == ab.second) continue;
+    const auto [oldp, newp] = ab;
+    const bool both = oldp != nullptr && newp != nullptr;
+    if (both && oldp->value == newp->value) continue;
     ++differing;
-    const std::string oldv = json::number(ab.first);
-    const std::string newv = json::number(ab.second);
-    const std::string delta = json::number(ab.second - ab.first);
+    const std::string oldv = oldp ? json::number(oldp->value) : "";
+    const std::string newv = newp ? json::number(newp->value) : "";
+    const std::string delta =
+        both ? json::number(newp->value - oldp->value)
+             : (oldp ? "only in OLD" : "only in NEW");
     switch (format) {
       case Format::kText:
-        out << name << "  " << oldv << " -> " << newv << "  (" << delta
-            << ")\n";
+        if (both)
+          out << name << "  " << oldv << " -> " << newv << "  (" << delta
+              << ")\n";
+        else  // one of oldv/newv is empty
+          out << name << "  " << oldv << newv << "  " << delta << '\n';
         break;
       case Format::kCsv:
         out << name << ',' << oldv << ',' << newv << ',' << delta << '\n';
         break;
       case Format::kJson:
         if (!first) out << ',';
-        out << '"' << json::escape(name) << "\":{\"old\":" << oldv
-            << ",\"new\":" << newv << ",\"delta\":" << delta << '}';
+        out << '"' << json::escape(name) << "\":{\"old\":"
+            << (oldp ? oldv : "null") << ",\"new\":"
+            << (newp ? newv : "null") << ",\"delta\":"
+            << (both ? delta : '"' + delta + '"') << '}';
         break;
     }
     first = false;

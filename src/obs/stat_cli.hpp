@@ -1,9 +1,10 @@
 #pragma once
 /// \file stat_cli.hpp
 /// Implementation of the `gapstat` telemetry CLI: load, diff, and
-/// aggregate the three observability artifacts the service emits —
-/// `--metrics-out` JSON, `--expose-out` Prometheus text, and
-/// `gap-flight-v1` flight-recorder dumps — without caring which is which
+/// aggregate the three run artifacts the tools emit that are not Chrome
+/// traces — Prometheus exposition text (`gapflow --metrics-out`,
+/// `gapd --expose-out`), `gap-flight-v1` flight-recorder dumps, and QoR
+/// run manifests (`gapflow --qor-out`) — without caring which is which
 /// (the loader sniffs the format). Lives in the library so the test
 /// suite can drive it in-process with captured streams.
 ///
@@ -13,9 +14,14 @@
 ///
 /// Every input collapses to a sorted name -> value map (histograms
 /// contribute their _count/_clamped/_min/_max series; flight dumps
-/// contribute per-kind event counts), so files of different formats can
-/// be diffed against each other. `agg` merges by metric kind: counters
-/// sum, gauges and maxima keep the max, minima keep the min.
+/// contribute per-kind event counts; manifests flatten to dotted paths
+/// such as stage.signoff.min_period_tau and attribution.gap_score.
+/// composed, docs/qor.md), so files of different formats can be diffed
+/// against each other. `diff` reports every key whose value changed or
+/// that exists on one side only; `--strict` turns any such difference
+/// into exit 1, which is the CI gate for deterministic artifacts. `agg`
+/// merges by metric kind: counters sum, gauges and maxima keep the max,
+/// minima keep the min.
 ///
 /// Exit codes (the shared tool vocabulary):
 ///   0  success (for diff: also "differences found" without --strict)

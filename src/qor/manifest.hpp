@@ -3,14 +3,16 @@
 /// QoR run manifest: one JSON document describing a whole gapflow run —
 /// configuration, seed, per-stage QoR snapshots and metric deltas, the
 /// gap-factor attribution, a diagnostics summary and the final result.
-/// Written by `gapflow --qor-out FILE`, consumed by `gapreport` (show /
-/// diff) and the CI QoR gate. Schema documented in docs/qor.md.
+/// Written by `gapflow --qor-out FILE`, read by `gapstat` (show / diff,
+/// which flattens it to dotted keys) and the CI QoR gate. Schema
+/// documented in docs/qor.md.
 ///
 /// Byte-identity: the manifest deliberately records no wall-clock times
 /// and no thread count. Results are thread-invariant by the determinism
 /// contract (docs/parallelism.md), so two runs of the same configuration
 /// at different --threads settings must produce byte-identical manifests
-/// — that is what makes `gapreport diff` trustworthy in CI.
+/// — that is what makes the exact `gapstat diff --strict` gate
+/// trustworthy in CI.
 
 #include <cstdint>
 #include <optional>
@@ -23,8 +25,8 @@
 
 namespace gap::qor {
 
-/// Current manifest schema. Bump when a field changes meaning; gapreport
-/// warns on mismatch but still diffs shared keys.
+/// Current manifest schema. Bump when a field changes meaning; it is
+/// recorded as `schema_version`, so a bump shows up in any diff.
 inline constexpr int kManifestSchemaVersion = 1;
 
 /// One flow stage in the manifest.

@@ -10,6 +10,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define GAP_SERVE_POSIX_IO 1
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #else
 #define GAP_SERVE_POSIX_IO 0
@@ -80,6 +81,7 @@ Replay replay_journal(const std::string& text) {
         return r;
       } else {
         r.records.push_back(*rec);
+        r.verified_bytes = pos;
         continue;
       }
     }
@@ -98,26 +100,17 @@ Replay replay_journal(const std::string& text) {
 
 Journal::~Journal() { close(); }
 
-Journal::Journal(Journal&& other) noexcept
-    : fd_(other.fd_),
-      path_(std::move(other.path_)),
-      appended_(other.appended_),
-      bytes_appended_(other.bytes_appended_) {
-  other.fd_ = -1;
-  other.appended_ = 0;
-  other.bytes_appended_ = 0;
-}
+Journal::Journal(Journal&& other) noexcept { *this = std::move(other); }
 
 Journal& Journal::operator=(Journal&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = other.fd_;
+    fd_ = std::exchange(other.fd_, -1);
     path_ = std::move(other.path_);
-    appended_ = other.appended_;
-    bytes_appended_ = other.bytes_appended_;
-    other.fd_ = -1;
-    other.appended_ = 0;
-    other.bytes_appended_ = 0;
+    appended_ = std::exchange(other.appended_, 0);
+    bytes_appended_ = std::exchange(other.bytes_appended_, 0);
+    size_ = std::exchange(other.size_, 0);
+    failed_ = std::exchange(other.failed_, false);
   }
   return *this;
 }
@@ -134,11 +127,13 @@ Result<Journal> Journal::open(const std::string& path) {
   j.path_ = path;
 #if GAP_SERVE_POSIX_IO
   j.fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (j.fd_ < 0)
+  struct stat st {};
+  if (j.fd_ < 0 || ::fstat(j.fd_, &st) != 0)
     return Status::error(ErrorCode::kIo,
                          "cannot open journal '" + path +
                              "': " + std::strerror(errno),
                          {}, "serve");
+  j.size_ = static_cast<std::uint64_t>(st.st_size);
 #else
   // No durability guarantee without POSIX fsync; keep the protocol alive
   // by treating the journal as best-effort buffered I/O.
@@ -155,28 +150,36 @@ Status Journal::append(const std::string& rec_json) {
   GAP_TRACE_SPAN("serve::journal_append");
   if (!is_open())
     return Status::error(ErrorCode::kIo, "journal is not open", {}, "serve");
+  if (failed_)
+    return Status::error(ErrorCode::kIo,
+                         "journal failed: an earlier append could not be "
+                         "rolled back",
+                         {}, "serve");
   const std::string line = journal_line(rec_json) + '\n';
 #if GAP_SERVE_POSIX_IO
+  // Roll a failed append back to the last acknowledged size, so no
+  // partial or unacknowledged record is left for the next one to follow.
+  const auto fail = [&](const char* what) {
+    const std::string why = std::strerror(errno);
+    if (::ftruncate(fd_, static_cast<::off_t>(size_)) != 0) failed_ = true;
+    return Status::error(ErrorCode::kIo,
+                         std::string("journal ") + what + " failed: " + why,
+                         {}, "serve");
+  };
   std::size_t off = 0;
   while (off < line.size()) {
     const ::ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::error(ErrorCode::kIo,
-                           "journal write failed: " +
-                               std::string(std::strerror(errno)),
-                           {}, "serve");
+      return fail("write");
     }
     off += static_cast<std::size_t>(n);
   }
   {
     GAP_TRACE_SPAN("serve::journal_fsync");
-    if (::fsync(fd_) != 0)
-      return Status::error(ErrorCode::kIo,
-                           "journal fsync failed: " +
-                               std::string(std::strerror(errno)),
-                           {}, "serve");
+    if (::fsync(fd_) != 0) return fail("fsync");
   }
+  size_ += line.size();
 #else
   std::ofstream out(path_, std::ios::app);
   out << line << std::flush;

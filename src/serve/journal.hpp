@@ -52,6 +52,9 @@ struct Replay {
   std::vector<common::json::Value> records;  ///< parsed `rec` payloads
   ReplayHalt halt = ReplayHalt::kClean;
   std::string detail;  ///< human-readable reason when halt != kClean
+  /// Length of the text through the last verified line (newline
+  /// included): the size to truncate a torn tail back to.
+  std::size_t verified_bytes = 0;
 };
 
 /// Scan journal text (as read from disk) into its verified prefix. Never
@@ -62,6 +65,12 @@ struct Replay {
 /// Append-only journal writer. Each append writes one full line and
 /// flushes it to stable storage (fsync where the platform has it) before
 /// returning, so a record the server acknowledged survives SIGKILL.
+///
+/// A failed append leaves nothing behind: the writer tracks the file
+/// size after the last acknowledged record and, when a write or fsync
+/// fails, truncates back to it, so the next append starts a clean line.
+/// If that truncate fails too the file may hold a partial record, and
+/// the writer turns failed for good: every later append returns kIo.
 class Journal {
  public:
   Journal() = default;
@@ -84,8 +93,8 @@ class Journal {
   }
 
   /// Checksum-wrap `rec_json`, append the line, and sync it to disk.
-  /// On failure nothing may be assumed durable; the caller must not
-  /// apply the edit it was trying to commit.
+  /// On failure the record is rolled back (see above); the caller must
+  /// not apply the edit it was trying to commit.
   [[nodiscard]] common::Status append(const std::string& rec_json);
 
   void close();
@@ -95,6 +104,8 @@ class Journal {
   std::string path_;
   std::uint64_t appended_ = 0;
   std::uint64_t bytes_appended_ = 0;
+  std::uint64_t size_ = 0;  ///< file size after the last good append
+  bool failed_ = false;     ///< a rollback failed; refuse every append
 };
 
 }  // namespace gap::serve

@@ -452,6 +452,12 @@ Status Server::recover() {
 
     const json::Value& header = replay.records.front();
     if (header.member_number("gapd_journal", 0) != 1.0) continue;
+    // A torn tail was never acknowledged: cut it off, or the next append
+    // would be glued onto it and the whole line lost at the next replay.
+    // Corrupt journals are left as they are, as evidence.
+    std::error_code cut_ec;
+    if (replay.halt == ReplayHalt::kTornTail)
+      fs::resize_file(path, replay.verified_bytes, cut_ec);
     const std::string name = header.member_string("session", "");
     if (!valid_session_name(name) || sessions_.count(name) != 0) continue;
 
@@ -505,9 +511,12 @@ Status Server::recover() {
     if (diverged || replay.halt == ReplayHalt::kCorrupt)
       degrade(*s, diverged ? "journal diverged from the timing engine"
                            : "journal corrupt: " + replay.detail);
-
-    auto journal = Journal::open(path);
-    if (journal.ok()) s->journal = std::move(journal).value();
+    if (cut_ec) {
+      // Never append after a torn tail that is still there.
+      degrade(*s, "cannot cut torn journal tail: " + cut_ec.message());
+    } else if (auto journal = Journal::open(path); journal.ok()) {
+      s->journal = std::move(journal).value();
+    }
     bump(&ServerCounters::recovered_sessions, "serve.recovered_sessions");
     flight_event(obs::FlightEventKind::kRecovered, 0, s->seq, name);
     sessions_[name] = std::move(s);

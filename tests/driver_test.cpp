@@ -12,6 +12,7 @@
 #include "designs/registry.hpp"
 #include "library/builders.hpp"
 #include "library/liberty.hpp"
+#include "obs/expose.hpp"
 #include "tech/technology.hpp"
 #include "json_lint.hpp"
 
@@ -206,7 +207,7 @@ TEST(DriverRunTest, LintGateRunsOnlyWhenRequested) {
 
 TEST(DriverRunTest, TraceAndMetricsOutProduceValidJson) {
   const std::string trace_path = "driver_test_trace.json";
-  const std::string metrics_path = "driver_test_metrics.json";
+  const std::string metrics_path = "driver_test_metrics.prom";
   const RunCapture r = invoke({"--design", "alu16", "--trace-out", trace_path,
                                "--metrics-out", metrics_path});
   EXPECT_EQ(r.code, 0);
@@ -230,14 +231,14 @@ TEST(DriverRunTest, TraceAndMetricsOutProduceValidJson) {
                            "flow::route", "flow::signoff"})
     EXPECT_NE(trace.find(span), std::string::npos) << span;
 
+  // The metrics file is gap-expose-v1 exposition text, not JSON.
   const std::string metrics = slurp(metrics_path);
-  ASSERT_FALSE(metrics.empty());
-  EXPECT_TRUE(gap::testing::JsonLint::valid(metrics));
+  ASSERT_EQ(metrics.rfind(obs::kExposeHeader, 0), 0u) << metrics;
   // Live counters from at least the five instrumented engines.
   for (const char* counter :
-       {"\"mapper.gates_mapped\"", "\"sta.arrival_passes\"",
-        "\"place.instances_placed\"", "\"route.nets_routed\"",
-        "\"tilos.iterations\""})
+       {"\ngap_mapper_gates_mapped ", "\ngap_sta_arrival_passes ",
+        "\ngap_place_instances_placed ", "\ngap_route_nets_routed ",
+        "\ngap_tilos_iterations "})
     EXPECT_NE(metrics.find(counter), std::string::npos) << counter;
 
   std::remove(trace_path.c_str());
@@ -246,7 +247,7 @@ TEST(DriverRunTest, TraceAndMetricsOutProduceValidJson) {
 
 TEST(DriverRunTest, ObservabilityFlagsDoNotChangeFlowOutput) {
   const std::string trace_path = "driver_test_trace2.json";
-  const std::string metrics_path = "driver_test_metrics2.json";
+  const std::string metrics_path = "driver_test_metrics2.prom";
   const RunCapture plain = invoke({"--design", "alu16"});
   const RunCapture observed =
       invoke({"--design", "alu16", "--trace-out", trace_path, "--metrics-out",
@@ -264,8 +265,8 @@ TEST(DriverRunTest, ObservabilityFlagsDoNotChangeFlowOutput) {
 }
 
 TEST(DriverRunTest, MetricsDeterministicAcrossThreadCounts) {
-  const std::string m1 = "driver_test_metrics_t1.json";
-  const std::string mN = "driver_test_metrics_tN.json";
+  const std::string m1 = "driver_test_metrics_t1.prom";
+  const std::string mN = "driver_test_metrics_tN.prom";
   const RunCapture r1 = invoke({"--design", "alu16", "--mc", "16", "--threads",
                                 "1", "--metrics-out", m1});
   const RunCapture rN = invoke({"--design", "alu16", "--mc", "16", "--threads",
@@ -281,8 +282,11 @@ TEST(DriverRunTest, MetricsDeterministicAcrossThreadCounts) {
   };
   const std::string a = slurp(m1);
   const std::string b = slurp(mN);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);  // byte-identical metric files at any thread count
+  // Byte-identical at any thread count up to the wall marker; the wall
+  // section (pool dispatch, wave timings) legitimately differs.
+  ASSERT_NE(a.find(obs::kWallMarker), std::string::npos) << a;
+  ASSERT_NE(b.find(obs::kWallMarker), std::string::npos) << b;
+  EXPECT_EQ(obs::deterministic_section(a), obs::deterministic_section(b));
   std::remove(m1.c_str());
   std::remove(mN.c_str());
 }
@@ -322,7 +326,7 @@ TEST(DriverRunTest, QorOutWritesValidManifest) {
 
 TEST(DriverRunTest, QorOutWithMetricsOutCarriesMetricDeltas) {
   const std::string qpath = "driver_test_qor_metrics.json";
-  const std::string mpath = "driver_test_qor_metrics_m.json";
+  const std::string mpath = "driver_test_qor_metrics_m.prom";
   const RunCapture r = invoke({"--design", "alu16", "--qor-out", qpath,
                                "--metrics-out", mpath});
   ASSERT_EQ(r.code, 0) << r.err;

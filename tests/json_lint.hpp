@@ -1,7 +1,7 @@
 /// \file json_lint.hpp
 /// Minimal recursive-descent JSON validator shared by the observability
-/// tests (trace_test, metrics_test, driver_test). Not a parser — it only
-/// answers "is this well-formed JSON?" so the trace/metrics writers can be
+/// tests (trace_test, driver_test, qor_test). Not a parser — it only
+/// answers "is this well-formed JSON?" so the trace/manifest writers can be
 /// checked without adding a JSON library dependency.
 
 #ifndef GAP_TESTS_JSON_LINT_HPP_

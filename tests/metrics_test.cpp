@@ -1,7 +1,7 @@
 /// \file metrics_test.cpp
 /// gap::common metrics registry: exact counters under concurrency,
-/// thread-count-independent histogram content, snapshot deltas, and
-/// stable well-formed JSON export.
+/// thread-count-independent histogram content, and snapshot deltas. The
+/// exposition rendering of a registry is tested in obs_test.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
-#include "json_lint.hpp"
 
 namespace gap::common {
 namespace {
@@ -173,45 +172,6 @@ TEST_F(MetricsTest, SnapshotDeltasReportOnlyGrowth) {
   EXPECT_EQ(deltas[0].second, 2u);
   EXPECT_EQ(deltas[1].first, "test.grew");
   EXPECT_EQ(deltas[1].second, 10u);
-}
-
-TEST_F(MetricsTest, JsonIsWellFormedAndSorted) {
-  metrics().counter("b.second").add(2);
-  metrics().counter("a.first").add(1);
-  metrics().gauge("util").set(0.5);
-  metrics().histogram("tau").record(1.25);
-
-  const std::string json = metrics().json();
-  EXPECT_TRUE(gap::testing::JsonLint::valid(json)) << json;
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  // std::map keys — "a.first" must precede "b.second".
-  EXPECT_LT(json.find("a.first"), json.find("b.second"));
-}
-
-TEST_F(MetricsTest, EmptyRegistryJsonIsValid) {
-  const std::string json = metrics().json();
-  EXPECT_TRUE(gap::testing::JsonLint::valid(json)) << json;
-}
-
-TEST_F(MetricsTest, JsonIsByteStableAcrossThreadCounts) {
-  constexpr std::size_t kSamples = 512;
-  const auto value = [](std::size_t i) {
-    return 0.01 * static_cast<double>(i % 97);
-  };
-  std::vector<std::string> renders;
-  for (int threads : {1, 4}) {
-    metrics().reset();
-    Counter& c = metrics().counter("run.items");
-    Histogram& h = metrics().histogram("run.tau");
-    parallel_for(threads, kSamples, [&](std::size_t i) {
-      c.add();
-      h.record(value(i));
-    });
-    renders.push_back(metrics().json());
-  }
-  EXPECT_EQ(renders[0], renders[1]);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 /// and its wall-section segregation, the flight-recorder ring (wrap,
 /// drop accounting, concurrent record vs snapshot), gap-flight-v1 dump
 /// schema and deterministic stripping, atomic snapshot writes, gapstat
-/// show/diff/agg, wavefront-profile determinism across capture paths,
-/// and twin gapd servers whose telemetry must byte-match at --threads 1
+/// show/diff/agg over exposition, flight dumps and QoR manifests,
+/// wavefront-profile determinism across capture paths, and twin gapd
+/// servers whose telemetry must byte-match at --threads 1
 /// vs 8 (the determinism contract of docs/observability.md).
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 
 #include "common/json.hpp"
 #include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 #include "designs/registry.hpp"
 #include "library/builders.hpp"
 #include "obs/expose.hpp"
@@ -31,6 +33,7 @@
 #include "sta/incremental.hpp"
 #include "synth/mapper.hpp"
 #include "tech/technology.hpp"
+#include "tiny_manifest.hpp"
 
 namespace gap::obs {
 namespace {
@@ -56,6 +59,19 @@ void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   out << content;
   ASSERT_TRUE(out.good()) << path;
+}
+
+/// Runs gapstat in-process; returns its exit code and, if asked, stdout.
+int gapstat(const std::vector<std::string>& args, std::string* out_text) {
+  std::vector<const char*> argv;
+  argv.reserve(args.size());
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  std::ostringstream out;
+  std::ostringstream err;
+  const int code =
+      run_gapstat(static_cast<int>(argv.size()), argv.data(), out, err);
+  if (out_text != nullptr) *out_text = out.str();
+  return code;
 }
 
 // --- exposition ----------------------------------------------------------
@@ -127,6 +143,7 @@ TEST(Expose, HistogramBucketsAreCumulative) {
 TEST(Expose, WallMetricsSegregatedAfterMarker) {
   common::MetricsRegistry reg;
   reg.counter("det.count").add(1);
+  reg.counter("firewall.x").add(2);  // "wall." only as a prefix
   reg.counter("wall.pool_sweeps").add(7);
   reg.histogram("wall.latency_us").record(123.0);
 
@@ -134,13 +151,14 @@ TEST(Expose, WallMetricsSegregatedAfterMarker) {
   const std::size_t marker = text.find(kWallMarker);
   ASSERT_NE(marker, std::string::npos) << text;
   EXPECT_LT(text.find("gap_det_count"), marker);
+  EXPECT_LT(text.find("gap_firewall_x"), marker);
   EXPECT_GT(text.find("gap_wall_pool_sweeps"), marker);
   EXPECT_GT(text.find("gap_wall_latency_us_count"), marker);
 
   // The deterministic section ends at the marker line.
   const std::string det = deterministic_section(text);
   EXPECT_NE(det.find("gap_det_count"), std::string::npos);
-  EXPECT_EQ(det.find("wall"), std::string::npos) << det;
+  EXPECT_EQ(det.find("gap_wall"), std::string::npos) << det;
   EXPECT_EQ(det, text.substr(0, marker));
 }
 
@@ -149,13 +167,17 @@ TEST(Expose, DeterministicSectionPassesThroughMarkerlessText) {
 }
 
 TEST(Expose, MetricsJsonExcludesWallByDefault) {
+  // A metrics file (gapflow --metrics-out) is read for determinism
+  // through its deterministic section; the wall series are only in the
+  // full text.
   common::MetricsRegistry reg;
   reg.counter("det.count").add(1);
   reg.counter("wall.noise").add(99);
-  const std::string det = reg.json();
-  EXPECT_EQ(det.find("wall.noise"), std::string::npos) << det;
-  const std::string all = reg.json(/*include_wall=*/true);
-  EXPECT_NE(all.find("wall.noise"), std::string::npos) << all;
+  const std::string all = expose_text(reg);
+  const std::string det = deterministic_section(all);
+  EXPECT_NE(det.find("gap_det_count 1\n"), std::string::npos) << det;
+  EXPECT_EQ(det.find("gap_wall_noise"), std::string::npos) << det;
+  EXPECT_NE(all.find("gap_wall_noise 99\n"), std::string::npos) << all;
   EXPECT_TRUE(common::MetricsRegistry::is_wall_metric("wall.x"));
   EXPECT_FALSE(common::MetricsRegistry::is_wall_metric("firewall.x"));
 }
@@ -170,8 +192,42 @@ TEST(Expose, HistogramClampedCounterSurvivesJson) {
   EXPECT_EQ(d.count, 3u);
   EXPECT_EQ(d.clamped, 2u);
   EXPECT_EQ(d.min, 0.0);
-  const std::string js = reg.json();
-  EXPECT_NE(js.find("\"clamped\":2"), std::string::npos) << js;
+
+  // Through the exposition file and gapstat's JSON rendering.
+  const std::string dir = temp_dir("expose_clamped");
+  write_file(dir + "/h.prom", expose_text(reg));
+  std::string js;
+  EXPECT_EQ(gapstat({"show", dir + "/h.prom", "--format=json"}, &js),
+            kStatExitOk);
+  auto v = Value::parse(js);
+  ASSERT_TRUE(v.has_value()) << js;
+  EXPECT_EQ(v->member_number("gap_h_clamped", 0), 2.0);
+  EXPECT_EQ(v->member_number("gap_h_count", 0), 3.0);
+  EXPECT_EQ(v->member_number("gap_h_min", -1), 0.0);
+}
+
+TEST(Expose, EmptyRegistryIsHeaderAndMarkerOnly) {
+  const common::MetricsRegistry reg;
+  EXPECT_EQ(expose_text(reg),
+            std::string(kExposeHeader) + "\n" + kWallMarker + "\n");
+}
+
+TEST(Expose, ByteStableAcrossThreadCounts) {
+  constexpr std::size_t kSamples = 512;
+  std::vector<std::string> renders;
+  for (int threads : {1, 4}) {
+    common::MetricsRegistry reg;
+    common::Counter& c = reg.counter("run.items");
+    common::Histogram& h = reg.histogram("run.tau");
+    common::parallel_for(threads, kSamples, [&](std::size_t i) {
+      c.add();
+      h.record(0.01 * static_cast<double>(i % 97));
+    });
+    renders.push_back(expose_text(reg));
+  }
+  EXPECT_EQ(renders[0], renders[1]);
+  EXPECT_NE(renders[0].find("gap_run_items 512\n"), std::string::npos)
+      << renders[0];
 }
 
 TEST(Expose, WriteFileAtomicReplacesAndCleansUp) {
@@ -319,42 +375,134 @@ TEST(Flight, KindNamesAreStable) {
 
 // --- gapstat -------------------------------------------------------------
 
-int gapstat(const std::vector<std::string>& args, std::string* out_text) {
-  std::vector<const char*> argv;
-  argv.reserve(args.size());
-  for (const std::string& a : args) argv.push_back(a.c_str());
-  std::ostringstream out;
-  std::ostringstream err;
-  const int code =
-      run_gapstat(static_cast<int>(argv.size()), argv.data(), out, err);
-  if (out_text != nullptr) *out_text = out.str();
-  return code;
+/// The synthetic manifest written to `path` (qor::write_json).
+void write_manifest(const std::string& path, double signoff_period,
+                    double sizing) {
+  write_file(path, qor::write_json(
+                       gap::testing::tiny_manifest(signoff_period, sizing)));
 }
 
 TEST(GapStat, ShowsMetricsJson) {
+  // The metrics file gapflow --metrics-out writes, shown in all three
+  // output formats.
   const std::string dir = temp_dir("stat_show");
   common::MetricsRegistry reg;
   reg.counter("serve.requests").add(5);
   reg.histogram("serve.req.frame_bytes").record(100.0);
-  write_file(dir + "/m.json", reg.json());
+  write_file(dir + "/m.prom", expose_text(reg));
 
   std::string text;
-  EXPECT_EQ(gapstat({"show", dir + "/m.json"}, &text), kStatExitOk);
-  EXPECT_NE(text.find("serve.requests"), std::string::npos) << text;
-  EXPECT_NE(text.find("serve.req.frame_bytes.count"), std::string::npos)
+  EXPECT_EQ(gapstat({"show", dir + "/m.prom"}, &text), kStatExitOk);
+  EXPECT_NE(text.find("gap_serve_requests"), std::string::npos) << text;
+  EXPECT_NE(text.find("gap_serve_req_frame_bytes_count"), std::string::npos)
       << text;
 
   std::string csv;
-  EXPECT_EQ(gapstat({"show", dir + "/m.json", "--format", "csv"}, &csv),
+  EXPECT_EQ(gapstat({"show", dir + "/m.prom", "--format", "csv"}, &csv),
             kStatExitOk);
   EXPECT_EQ(csv.rfind("name,value\n", 0), 0u) << csv;
 
   std::string js;
-  EXPECT_EQ(gapstat({"show", dir + "/m.json", "--format=json"}, &js),
+  EXPECT_EQ(gapstat({"show", dir + "/m.prom", "--format=json"}, &js),
             kStatExitOk);
   auto v = Value::parse(js);
   ASSERT_TRUE(v.has_value()) << js;
-  EXPECT_EQ(v->member_number("serve.requests", 0), 5.0);
+  EXPECT_EQ(v->member_number("gap_serve_requests", 0), 5.0);
+  EXPECT_EQ(v->member_number("gap_serve_req_frame_bytes_count", 0), 1.0);
+}
+
+TEST(GapStat, ShowsQorManifest) {
+  const std::string dir = temp_dir("stat_manifest");
+  write_manifest(dir + "/q.json", 100.0, 1.2);
+
+  std::string text;
+  EXPECT_EQ(gapstat({"show", dir + "/q.json"}, &text), kStatExitOk);
+  EXPECT_NE(text.find("stage.signoff.min_period_tau"), std::string::npos)
+      << text;
+
+  std::string csv;
+  EXPECT_EQ(gapstat({"show", dir + "/q.json", "--format", "csv"}, &csv),
+            kStatExitOk);
+  EXPECT_EQ(csv.rfind("name,value\n", 0), 0u) << csv;
+  EXPECT_NE(csv.find("stage.signoff.min_period_tau,100\n"),
+            std::string::npos)
+      << csv;
+
+  // The generic flattening: numbers, booleans as 0/1, name-keyed and
+  // index-keyed arrays, dotted metric_deltas names; strings carry none.
+  std::string js;
+  EXPECT_EQ(gapstat({"show", dir + "/q.json", "--format=json"}, &js),
+            kStatExitOk);
+  auto v = Value::parse(js);
+  ASSERT_TRUE(v.has_value()) << js;
+  EXPECT_EQ(v->member_number("schema_version", 0), 1.0);
+  EXPECT_EQ(v->member_number("stage.signoff.min_period_tau", 0), 100.0);
+  EXPECT_EQ(v->member_number("stage.signoff.wave.levels", -1), 0.0);
+  EXPECT_EQ(v->member_number("stage.signoff.metric_deltas.sta.analyses", 0),
+            1.0);
+  EXPECT_EQ(v->member_number("attribution.gap_score.sizing", 0), 1.2);
+  EXPECT_EQ(v->member_number("attribution.paths.0.delay_tau", 0), 90.0);
+  EXPECT_EQ(v->member_number("result.ok", 0), 1.0);
+  EXPECT_EQ(v->member_number("result.frequency_mhz", 0), 100.0);
+  EXPECT_EQ(v->find("design"), nullptr) << js;
+}
+
+TEST(GapStat, QorSelfDiffIsEmptyUnderStrict) {
+  const std::string dir = temp_dir("stat_manifest_self");
+  write_manifest(dir + "/q.json", 100.0, 1.2);
+  std::string text;
+  EXPECT_EQ(gapstat({"diff", dir + "/q.json", dir + "/q.json", "--strict"},
+                    &text),
+            kStatExitOk);
+  EXPECT_EQ(text, "no differences\n");
+}
+
+TEST(GapStat, QorStrictDiffFailsOnAnyChange) {
+  const std::string dir = temp_dir("stat_manifest_diff");
+  const std::string base = dir + "/base.json";
+  write_manifest(base, 100.0, 1.2);
+  write_manifest(dir + "/slower.json", 120.0, 1.2);  // +20% period
+
+  std::string text;
+  EXPECT_EQ(gapstat({"diff", base, dir + "/slower.json"}, &text),
+            kStatExitOk);  // report-only without --strict
+  EXPECT_NE(text.find("stage.signoff.min_period_tau  100 -> 120"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(gapstat({"diff", base, dir + "/slower.json", "--strict"}, &text),
+            kStatExitDiff);
+
+  // The gate is exact, not directional: an improvement is a difference
+  // too, recorded by regenerating the baseline.
+  EXPECT_EQ(gapstat({"diff", dir + "/slower.json", base, "--strict"}, &text),
+            kStatExitDiff);
+  EXPECT_NE(text.find("stage.signoff.min_period_tau  120 -> 100"),
+            std::string::npos)
+      << text;
+}
+
+TEST(GapStat, QorGapScoreChangeIsCaught) {
+  const std::string dir = temp_dir("stat_manifest_score");
+  const std::string base = dir + "/base.json";
+  write_manifest(base, 100.0, 1.2);
+  write_manifest(dir + "/sizing.json", 100.0, 1.5);  // sizing got worse
+
+  std::string text;
+  EXPECT_EQ(gapstat({"diff", base, dir + "/sizing.json", "--strict"}, &text),
+            kStatExitDiff);
+  EXPECT_NE(text.find("attribution.gap_score.sizing  1.2 -> 1.5"),
+            std::string::npos)
+      << text;
+  // Only the sizing factor and what is composed from it moved.
+  EXPECT_EQ(text.find("min_period_tau"), std::string::npos) << text;
+}
+
+TEST(GapStat, QorManifestErrorExitCodes) {
+  const std::string dir = temp_dir("stat_manifest_bad");
+  write_file(dir + "/other.json", "{\"valid\": \"json, wrong tool\"}");
+  EXPECT_EQ(gapstat({"show", dir + "/other.json"}, nullptr), kStatExitParse);
+  EXPECT_EQ(gapstat({"show", dir + "/missing.json"}, nullptr), kStatExitIo);
+  EXPECT_EQ(gapstat({"--help"}, nullptr), kStatExitOk);
 }
 
 TEST(GapStat, ShowsExpositionAndFlight) {
@@ -387,28 +535,49 @@ TEST(GapStat, DiffFindsChangesAndStrictGatesExit) {
   const std::string dir = temp_dir("stat_diff");
   common::MetricsRegistry before;
   before.counter("serve.requests").add(5);
-  write_file(dir + "/old.json", before.json());
+  write_file(dir + "/old.prom", expose_text(before));
   common::MetricsRegistry after;
   after.counter("serve.requests").add(9);
   after.counter("serve.errors").add(1);
-  write_file(dir + "/new.json", after.json());
+  write_file(dir + "/new.prom", expose_text(after));
 
   std::string text;
-  EXPECT_EQ(gapstat({"diff", dir + "/old.json", dir + "/new.json"}, &text),
+  EXPECT_EQ(gapstat({"diff", dir + "/old.prom", dir + "/new.prom"}, &text),
             kStatExitOk);
-  EXPECT_NE(text.find("serve.requests"), std::string::npos) << text;
-  EXPECT_NE(text.find("serve.errors"), std::string::npos) << text;
+  EXPECT_NE(text.find("gap_serve_requests  5 -> 9"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("gap_serve_errors  1  only in NEW"), std::string::npos)
+      << text;
 
-  EXPECT_EQ(gapstat({"diff", dir + "/old.json", dir + "/new.json",
+  EXPECT_EQ(gapstat({"diff", dir + "/old.prom", dir + "/new.prom",
                      "--strict"},
                     nullptr),
             kStatExitDiff);
   // Identical files diff clean even under --strict.
-  EXPECT_EQ(gapstat({"diff", dir + "/old.json", dir + "/old.json",
+  EXPECT_EQ(gapstat({"diff", dir + "/old.prom", dir + "/old.prom",
                      "--strict"},
                     &text),
             kStatExitOk);
   EXPECT_NE(text.find("no differences"), std::string::npos) << text;
+
+  // A key on one side only is a difference even when its value is 0.
+  write_file(dir + "/az.prom", "# gap-expose-v1\ngap_a 1\ngap_z 0\n");
+  write_file(dir + "/a.prom", "# gap-expose-v1\ngap_a 1\n");
+  EXPECT_EQ(gapstat({"diff", dir + "/az.prom", dir + "/a.prom", "--strict"},
+                    &text),
+            kStatExitDiff);
+  EXPECT_EQ(text, "gap_z  0  only in OLD\n");
+  EXPECT_EQ(gapstat({"diff", dir + "/a.prom", dir + "/az.prom", "--format",
+                     "csv"},
+                    &text),
+            kStatExitOk);
+  EXPECT_EQ(text, "name,old,new,delta\ngap_z,,0,only in NEW\n");
+  EXPECT_EQ(gapstat({"diff", dir + "/az.prom", dir + "/a.prom",
+                     "--format=json"},
+                    &text),
+            kStatExitOk);
+  EXPECT_EQ(text, "{\"gap_z\":{\"old\":0,\"new\":null,"
+                  "\"delta\":\"only in OLD\"}}\n");
 }
 
 TEST(GapStat, AggregatesAcrossFiles) {
@@ -416,23 +585,23 @@ TEST(GapStat, AggregatesAcrossFiles) {
   common::MetricsRegistry a;
   a.counter("serve.requests").add(2);
   a.histogram("lat").record(4.0);
-  write_file(dir + "/a.json", a.json());
+  write_file(dir + "/a.prom", expose_text(a));
   common::MetricsRegistry b;
   b.counter("serve.requests").add(3);
   b.histogram("lat").record(16.0);
-  write_file(dir + "/b.json", b.json());
+  write_file(dir + "/b.prom", expose_text(b));
 
   std::string js;
-  EXPECT_EQ(gapstat({"agg", dir + "/a.json", dir + "/b.json",
+  EXPECT_EQ(gapstat({"agg", dir + "/a.prom", dir + "/b.prom",
                      "--format=json"},
                     &js),
             kStatExitOk);
   auto v = Value::parse(js);
   ASSERT_TRUE(v.has_value()) << js;
-  EXPECT_EQ(v->member_number("serve.requests", 0), 5.0);  // counters sum
-  EXPECT_EQ(v->member_number("lat.count", 0), 2.0);
-  EXPECT_EQ(v->member_number("lat.min", -1), 4.0);   // minima keep min
-  EXPECT_EQ(v->member_number("lat.max", -1), 16.0);  // maxima keep max
+  EXPECT_EQ(v->member_number("gap_serve_requests", 0), 5.0);  // counters sum
+  EXPECT_EQ(v->member_number("gap_lat_count", 0), 2.0);
+  EXPECT_EQ(v->member_number("gap_lat_min", -1), 4.0);   // minima keep min
+  EXPECT_EQ(v->member_number("gap_lat_max", -1), 16.0);  // maxima keep max
 }
 
 TEST(GapStat, ExitCodesForBadInput) {

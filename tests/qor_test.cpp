@@ -1,13 +1,10 @@
 /// Tests for gap::qor: exact factor-bucket partition, gap-score
-/// composition against core::decompose, snapshot capture, manifest
-/// writing, and the gapreport CLI (in-process).
+/// composition against core::decompose, snapshot capture, and manifest
+/// writing. gapstat's reading of manifests is tested in obs_test.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/flow.hpp"
@@ -16,9 +13,9 @@
 #include "json_lint.hpp"
 #include "qor/attribution.hpp"
 #include "qor/manifest.hpp"
-#include "qor/report_cli.hpp"
 #include "qor/snapshot.hpp"
 #include "tech/technology.hpp"
+#include "tiny_manifest.hpp"
 
 namespace gap::qor {
 namespace {
@@ -216,37 +213,7 @@ TEST(SnapshotTest, McSpreadOnlyWhenRequestedAndThreadInvariant) {
   EXPECT_EQ(s1.mc_mean_shift, s4.mc_mean_shift);
 }
 
-/// A small synthetic manifest for writer/CLI tests.
-RunManifest tiny_manifest(double signoff_period, double composed_sizing) {
-  RunManifest m;
-  m.design = "alu16";
-  m.context.methodology_name = "typical";
-  m.context.corner_name = "typical";
-  m.seed = 1;
-  m.config = {{"design", "alu16"}, {"methodology", "typical"}};
-  ManifestStage st;
-  st.name = "signoff";
-  st.status = "ok";
-  st.metric_deltas = {{"sta.analyses", 1}};
-  QorSnapshot q;
-  q.min_period_tau = signoff_period;
-  q.worst_path_tau = signoff_period * 0.9;
-  q.slack_histogram.constrained = 3;
-  q.slack_histogram.centers = {0.5, 1.5};
-  q.slack_histogram.counts = {2, 1};
-  st.qor = q;
-  m.stages.push_back(st);
-  ManifestAttribution attr;
-  PathAttribution p;
-  p.delay_tau = signoff_period * 0.9;
-  p.logic_depth_tau = p.delay_tau;
-  attr.paths.push_back(p);
-  attr.score.sizing = composed_sizing;
-  m.attribution = attr;
-  m.ok = true;
-  m.freq_mhz = 100.0;
-  return m;
-}
+using gap::testing::tiny_manifest;
 
 TEST(ManifestTest, WriteJsonIsValidAndDeterministic) {
   const RunManifest m = tiny_manifest(100.0, 1.2);
@@ -256,119 +223,6 @@ TEST(ManifestTest, WriteJsonIsValidAndDeterministic) {
   EXPECT_TRUE(gap::testing::JsonLint::valid(a)) << a;
   EXPECT_NE(a.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(a.find("\"gapflow\""), std::string::npos);
-}
-
-class GapreportTest : public ::testing::Test {
- protected:
-  static void write_file(const std::string& path, const std::string& text) {
-    std::ofstream os(path, std::ios::binary);
-    os << text;
-  }
-
-  struct Captured {
-    int code;
-    std::string out;
-    std::string err;
-  };
-
-  static Captured gapreport(const std::vector<std::string>& args) {
-    std::vector<const char*> argv;
-    argv.reserve(args.size());
-    for (const std::string& a : args) argv.push_back(a.c_str());
-    std::ostringstream out;
-    std::ostringstream err;
-    const int code = run_gapreport(static_cast<int>(argv.size()), argv.data(),
-                                   out, err);
-    return {code, out.str(), err.str()};
-  }
-};
-
-TEST_F(GapreportTest, ShowRendersTextAndCsv) {
-  const std::string path = "qor_test_show.json";
-  write_file(path, write_json(tiny_manifest(100.0, 1.2)));
-  const Captured text = gapreport({"show", path});
-  EXPECT_EQ(text.code, kExitOk) << text.err;
-  EXPECT_NE(text.out.find("alu16"), std::string::npos);
-  EXPECT_NE(text.out.find("signoff"), std::string::npos);
-  EXPECT_NE(text.out.find("gap score"), std::string::npos);
-  const Captured csv = gapreport({"show", path, "--csv"});
-  EXPECT_EQ(csv.code, kExitOk);
-  EXPECT_NE(csv.out.find("stage,signoff,min_period_tau,100"),
-            std::string::npos)
-      << csv.out;
-  std::remove(path.c_str());
-}
-
-TEST_F(GapreportTest, SelfDiffIsEmptyAndExitsZero) {
-  const std::string path = "qor_test_selfdiff.json";
-  write_file(path, write_json(tiny_manifest(100.0, 1.2)));
-  const Captured r = gapreport({"diff", path, path, "--strict"});
-  EXPECT_EQ(r.code, kExitOk) << r.err;
-  EXPECT_NE(r.out.find("no differences"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST_F(GapreportTest, RegressionPastThresholdFailsOnlyUnderStrict) {
-  const std::string base = "qor_test_base.json";
-  const std::string cur = "qor_test_cur.json";
-  write_file(base, write_json(tiny_manifest(100.0, 1.2)));
-  write_file(cur, write_json(tiny_manifest(120.0, 1.2)));  // +20% period
-
-  const Captured lax = gapreport({"diff", base, cur});
-  EXPECT_EQ(lax.code, kExitOk);  // report-only without --strict
-  EXPECT_NE(lax.out.find("REGRESSION"), std::string::npos);
-
-  const Captured strict = gapreport({"diff", base, cur, "--strict"});
-  EXPECT_EQ(strict.code, kExitRegression);
-
-  // A generous threshold lets the same delta pass.
-  const Captured loose =
-      gapreport({"diff", base, cur, "--strict", "--threshold", "0.5"});
-  EXPECT_EQ(loose.code, kExitOk);
-
-  // An *improvement* is a difference but never a regression.
-  const Captured improved = gapreport({"diff", cur, base, "--strict"});
-  EXPECT_EQ(improved.code, kExitOk);
-
-  std::remove(base.c_str());
-  std::remove(cur.c_str());
-}
-
-TEST_F(GapreportTest, GapScoreRegressionIsCaught) {
-  const std::string base = "qor_test_score_base.json";
-  const std::string cur = "qor_test_score_cur.json";
-  write_file(base, write_json(tiny_manifest(100.0, 1.2)));
-  write_file(cur, write_json(tiny_manifest(100.0, 1.5)));  // sizing got worse
-  const Captured r = gapreport({"diff", base, cur, "--strict"});
-  EXPECT_EQ(r.code, kExitRegression);
-  EXPECT_NE(r.out.find("gap_score.sizing"), std::string::npos);
-  std::remove(base.c_str());
-  std::remove(cur.c_str());
-}
-
-TEST_F(GapreportTest, ErrorExitCodes) {
-  EXPECT_EQ(gapreport({"show", "/no/such/file.json"}).code, kExitIo);
-  EXPECT_EQ(gapreport({"frobnicate"}).code, kExitUnknownFlag);
-  EXPECT_EQ(gapreport({"show"}).code, kExitUnknownFlag);
-  EXPECT_EQ(gapreport({"diff", "a"}).code, kExitUnknownFlag);
-  EXPECT_EQ(gapreport({"show", "x.json", "--bogus"}).code, kExitUnknownFlag);
-
-  const std::string bad = "qor_test_bad.json";
-  write_file(bad, "this is not json");
-  EXPECT_EQ(gapreport({"show", bad}).code, kExitIo);
-  write_file(bad, "{\"valid\": \"json, wrong tool\"}");
-  EXPECT_EQ(gapreport({"show", bad}).code, kExitIo);
-  std::remove(bad.c_str());
-
-  const std::string good = "qor_test_good.json";
-  write_file(good, write_json(tiny_manifest(100.0, 1.2)));
-  EXPECT_EQ(gapreport({"diff", good, good, "--threshold", "nope"}).code,
-            kExitBadValue);
-  EXPECT_EQ(gapreport({"diff", good, good, "--threshold"}).code,
-            kExitBadValue);
-  std::remove(good.c_str());
-
-  EXPECT_EQ(gapreport({"--help"}).code, kExitOk);
 }
 
 TEST(FlowQorCaptureTest, SnapshotsOnlyWhenEnabled) {

@@ -1,13 +1,16 @@
 /// \file serve_test.cpp
 /// gapd robustness suite (ctest -L serve): protocol codec round-trips,
-/// journal torn-tail/corruption semantics, the never-abort guarantee
-/// under a malformed-frame fuzz corpus, kill-and-recover differential
+/// journal torn-tail/corruption semantics and failed-append rollback,
+/// the never-abort guarantee under a malformed-frame fuzz corpus,
+/// kill-and-recover differential
 /// byte-identity, thread-count invariance, watchdog/backpressure
 /// behavior, and a 10k-request + 1k-garbage-frame soak whose final state
 /// must equal an offline replay of exactly the acknowledged edits.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -211,6 +214,42 @@ TEST(JournalFormat, WriterAppendsDurableVerifiableLines) {
   const Replay r = replay_journal(read_file(dir + "/s.gapj"));
   EXPECT_EQ(r.halt, ReplayHalt::kClean);
   EXPECT_EQ(r.records.size(), 2u);
+}
+
+TEST(JournalFormat, FailedAppendRollsBackToLastRecord) {
+  // Cap the file size (RLIMIT_FSIZE) just past record A, so appending B
+  // is a short write followed by EFBIG; SIGXFSZ is ignored so the failure
+  // arrives as an errno rather than a signal.
+  const std::string dir = temp_dir("journal_rollback");
+  const std::string path = dir + "/s.gapj";
+  auto j = Journal::open(path);
+  ASSERT_TRUE(j.ok());
+  EXPECT_TRUE(j->append("{\"gapd_journal\":1}").ok());
+  EXPECT_TRUE(j->append("{\"seq\":1}").ok());
+  const auto size_after_a = fs::file_size(path);
+
+  struct rlimit saved {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(size_after_a + 10);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const common::Status b = j->append("{\"seq\":2,\"edit\":\"lost\"}");
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(b.ok());
+  EXPECT_EQ(b.code(), common::ErrorCode::kIo);
+  EXPECT_EQ(fs::file_size(path), size_after_a);  // no partial B left
+  EXPECT_TRUE(j->append("{\"seq\":2}").ok());
+  EXPECT_TRUE(j->append("{\"seq\":3}").ok());
+
+  const Replay r = replay_journal(read_file(path));
+  EXPECT_EQ(r.halt, ReplayHalt::kClean) << r.detail;
+  ASSERT_EQ(r.records.size(), 4u);
+  EXPECT_EQ(r.records[1].dump(), "{\"seq\":1}");
+  EXPECT_EQ(r.records[2].dump(), "{\"seq\":2}");
+  EXPECT_EQ(r.records[3].dump(), "{\"seq\":3}");
 }
 
 // --- never-abort: malformed frame corpus ---------------------------------
@@ -531,6 +570,36 @@ TEST(ServeRecover, TornTailIsDroppedAndSessionStaysHealthy) {
             twin.handle_line(query_frame("timing", "s1")));
 }
 
+TEST(ServeRecover, EditsAfterTornTailSurviveTheNextRestart) {
+  const std::string dir = temp_dir("torn_then_edit");
+  ServerOptions opt;
+  opt.journal_dir = dir;
+  {
+    Server a(opt);
+    ASSERT_TRUE(reply_ok(a.handle_line(load_frame("s1"))));
+    ASSERT_TRUE(reply_ok(a.handle_line(drive_frame("s1", 0, 2.0))));
+  }
+  // The bytes a SIGKILL mid-append would leave behind.
+  std::ofstream(dir + "/s1.gapj", std::ios::binary | std::ios::app)
+      << "{\"crc\":\"00000000000000aa\",\"rec\":{\"seq\":2,\"ed";
+  {
+    Server b(opt);
+    ASSERT_TRUE(b.recover().ok());
+    ASSERT_TRUE(reply_ok(b.handle_line(drive_frame("s1", 1, 2.0))));
+    const Value last = checked_reply(b.handle_line(drive_frame("s1", 2, 2.0)));
+    EXPECT_EQ(last.find("result")->member_number("seq", 0), 3.0);
+  }
+  // Both acknowledged edits must come back: the torn bytes were cut off
+  // before the restart appended after them.
+  Server c(opt);
+  ASSERT_TRUE(c.recover().ok());
+  EXPECT_EQ(c.counters().recovered_edits, 3u);
+  const Value stats = checked_reply(c.handle_line("{\"cmd\":\"stats\"}"));
+  const Value& session = stats.find("result")->find("sessions")->array.at(0);
+  EXPECT_EQ(session.member_number("seq", 0), 3.0);
+  EXPECT_FALSE(session.find("degraded")->boolean);
+}
+
 TEST(ServeRecover, InteriorCorruptionDegradesButKeepsServing) {
   const std::string dir = temp_dir("corrupt_mid");
   {
@@ -554,6 +623,7 @@ TEST(ServeRecover, InteriorCorruptionDegradesButKeepsServing) {
   ASSERT_TRUE(b.recover().ok());
   EXPECT_EQ(b.counters().recovered_edits, 2u);  // verified prefix only
   EXPECT_EQ(b.counters().degraded, 1u);
+  EXPECT_EQ(read_file(dir + "/s1.gapj"), text);  // evidence left intact
 
   // Degraded answers fall back to from-scratch analysis — which is
   // byte-identical to a healthy twin holding the same prefix.

@@ -1,7 +1,7 @@
 /// \file gapstat.cpp
-/// Telemetry CLI: show / diff / aggregate metrics JSON, Prometheus
-/// exposition, and gap-flight-v1 flight-recorder files. All logic lives
-/// in gap::obs::run_gapstat (src/obs/stat_cli.cpp) so the test suite can
+/// Telemetry and QoR CLI: show / diff / aggregate Prometheus exposition,
+/// gap-flight-v1 flight-recorder dumps, and QoR run manifests. All logic
+/// lives in gap::obs::run_gapstat (src/obs/stat_cli.cpp) so the test suite can
 /// exercise it in-process; this file only binds it to the process:
 /// SIGPIPE is ignored and a broken stdout exits 5 with a diagnostic
 /// (common/io_guard.hpp).
