@@ -181,12 +181,8 @@ void DataflowEngine::forward_sweep(const netlist::Netlist& nl, int threads) {
     // Every instance in a wave writes its own single-driver output net
     // and reads nets finalized at lower levels: disjoint writes, so the
     // parallel relaxation is bit-identical to the serial loop.
-    if (pool) {
-      pool->parallel_for(w.size(),
-                         [&](std::size_t i) { eval_instance(nl, w[i]); });
-    } else {
-      for (std::size_t i = 0; i < w.size(); ++i) eval_instance(nl, w[i]);
-    }
+    sta::wave_for(pool ? &*pool : nullptr, w.size(),
+                  [&](std::size_t i) { eval_instance(nl, w[i]); });
   }
 }
 

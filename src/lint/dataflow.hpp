@@ -12,9 +12,10 @@
 /// the instance's own clock phase and reset annotation, never on its
 /// inputs — so a single level-ordered sweep reaches the fixpoint: every
 /// combinational instance reads values finalized at strictly lower
-/// levels. Each wave writes disjoint single-driver nets, so waves relax
-/// in parallel over common::ThreadPool with bit-identical results at any
-/// lane count (the same argument as compact_propagate).
+/// levels. Each wave writes disjoint single-driver nets, so a wave wide
+/// enough for sta::wave_for relaxes in parallel over common::ThreadPool
+/// with bit-identical results at any lane count (the same argument as
+/// compact_propagate).
 ///
 /// A reverse pass computes per-net observability (does the net's value
 /// influence a primary output or captured register state, after folding

@@ -268,7 +268,7 @@ int run_gaplint(int argc, const char* const* argv, std::ostream& out,
       rendered = format_text(registry, report, opt.file);
       break;
     case Format::kJson:
-      rendered = write_json(registry, report, opt.file);
+      rendered = write_json(registry, report, opt.file) + "\n";
       break;
     case Format::kSarif:
       rendered = write_sarif(registry, report, opt.file);

@@ -70,40 +70,34 @@ std::string format_text(const RuleRegistry& registry,
 
 std::string write_json(const RuleRegistry& registry, const LintReport& report,
                        const std::string& artifact) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"schema\": \"gap-lint-report-v1\",\n";
-  out << "  \"artifact\": " << quoted(artifact) << ",\n";
-  out << "  \"findings\": [";
+  std::string out = "{\"schema\":\"gap-lint-report-v1\",\"artifact\":";
+  out += quoted(artifact);
+  out += ",\"findings\":[";
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
     const Finding& f = report.findings[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\n";
-    out << "      \"rule\": " << quoted(f.rule) << ",\n";
-    out << "      \"category\": "
-        << quoted(to_string(info_of(registry, f.rule).category)) << ",\n";
-    out << "      \"severity\": " << quoted(common::to_string(f.severity))
-        << ",\n";
-    out << "      \"anchor\": { \"kind\": " << quoted(to_string(f.anchor))
-        << ", \"name\": " << quoted(f.anchor_name) << " },\n";
-    out << "      \"message\": " << quoted(f.message) << ",\n";
+    if (i != 0) out += ',';
+    out += "{\"rule\":" + quoted(f.rule);
+    out += ",\"category\":" +
+           quoted(to_string(info_of(registry, f.rule).category));
+    out += ",\"severity\":" + quoted(common::to_string(f.severity));
+    out += ",\"anchor\":{\"kind\":" + quoted(to_string(f.anchor)) +
+           ",\"name\":" + quoted(f.anchor_name) + "}";
+    out += ",\"message\":" + quoted(f.message);
     if (f.loc.valid()) {
-      out << "      \"line\": " << f.loc.line << ",\n";
-      out << "      \"column\": " << f.loc.column << ",\n";
+      out += ",\"line\":" + std::to_string(f.loc.line);
+      out += ",\"column\":" + std::to_string(f.loc.column);
     }
-    out << "      \"waived\": " << (f.waived ? "true" : "false");
-    if (f.waived) {
-      out << ",\n      \"justification\": " << quoted(f.waiver_justification);
-    }
-    out << "\n    }";
+    out += ",\"waived\":";
+    out += f.waived ? "true" : "false";
+    if (f.waived) out += ",\"justification\":" + quoted(f.waiver_justification);
+    out += '}';
   }
-  out << (report.findings.empty() ? "],\n" : "\n  ],\n");
   const LintSummary& s = report.summary;
-  out << "  \"summary\": { \"errors\": " << s.errors
-      << ", \"warnings\": " << s.warnings << ", \"notes\": " << s.notes
-      << ", \"waived\": " << s.waived << " }\n";
-  out << "}\n";
-  return out.str();
+  out += "],\"summary\":{\"errors\":" + std::to_string(s.errors) +
+         ",\"warnings\":" + std::to_string(s.warnings) +
+         ",\"notes\":" + std::to_string(s.notes) +
+         ",\"waived\":" + std::to_string(s.waived) + "}}";
+  return out;
 }
 
 std::string write_sarif(const RuleRegistry& registry,

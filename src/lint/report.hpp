@@ -21,7 +21,9 @@ namespace gap::lint {
 
 /// Stable JSON ("gap-lint-report-v1"): findings in report order with
 /// rule / category / severity / anchor / message / location / waiver,
-/// then the summary counts.
+/// then the summary counts. One line with no trailing newline, in the
+/// compact common::json::Value::dump() form, so gapd splices it into a
+/// reply as it is.
 [[nodiscard]] std::string write_json(const RuleRegistry& registry,
                                      const LintReport& report,
                                      const std::string& artifact);

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 #include "common/trace.hpp"
@@ -143,6 +144,48 @@ Result<Journal> Journal::open(const std::string& path) {
                          {}, "serve");
   j.fd_ = 0;  // sentinel: "open" for the portable path
 #endif
+  return j;
+}
+
+Result<Journal> Journal::create(const std::string& path,
+                                const std::string& header_json) {
+  GAP_TRACE_SPAN("serve::journal_create");
+  namespace fs = std::filesystem;
+  const std::string tmp = path + ".tmp";
+  const auto fail = [&](const std::string& why) {
+    return Status::error(ErrorCode::kIo,
+                         "cannot create journal '" + path + "': " + why, {},
+                         "serve");
+  };
+  std::error_code ec;
+  fs::remove(tmp, ec);  // left by a crash before its rename
+  std::uint64_t header_bytes = 0;
+  {
+    auto fresh = open(tmp);
+    if (!fresh.ok()) return fresh.status();
+    if (Status st = fresh->append(header_json); !st.ok()) return st;
+    header_bytes = fresh->bytes_appended();
+  }
+  fs::rename(tmp, path, ec);
+  if (ec) return fail("rename failed: " + ec.message());
+#if GAP_SERVE_POSIX_IO
+  // The rename is durable only once the directory entry is synced.
+  std::string dir = fs::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd < 0)
+    return fail(std::string("directory open failed: ") + std::strerror(errno));
+  const bool synced = ::fsync(dfd) == 0;
+  const int err = errno;
+  ::close(dfd);
+  if (!synced)
+    return fail(std::string("directory fsync failed: ") + std::strerror(err));
+#endif
+  auto j = open(path);
+  if (j.ok()) {
+    j->appended_ = 1;
+    j->bytes_appended_ = header_bytes;
+  }
   return j;
 }
 

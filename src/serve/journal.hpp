@@ -83,6 +83,15 @@ class Journal {
   /// Open `path` for append, creating it if needed.
   [[nodiscard]] static common::Result<Journal> open(const std::string& path);
 
+  /// Start a new journal at `path` whose first record is `header_json`,
+  /// replacing whatever file is there. The header line is written to
+  /// `<path>.tmp` and synced, renamed over `path`, and the directory is
+  /// synced, so a crash leaves either the old file or the whole new one,
+  /// never a second header appended to an old session. The returned
+  /// writer is open for append and counts the header as its first record.
+  [[nodiscard]] static common::Result<Journal> create(
+      const std::string& path, const std::string& header_json);
+
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   [[nodiscard]] const std::string& path() const { return path_; }
   /// Records appended through this writer (not counting replayed ones).

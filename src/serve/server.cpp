@@ -60,20 +60,6 @@ template <typename Fn>
   }
 }
 
-/// Re-emit a pretty-printed renderer output (lint::write_json) as one
-/// compact line, so every reply stays line-delimited. The timing
-/// renderers (critical_path_json, slack_histogram_json) already emit the
-/// compact dump() form and are spliced in as they are.
-[[nodiscard]] Result<std::string> compact(const std::string& text) {
-  auto v = json::Value::parse_checked(text);
-  if (!v.ok())
-    return Status::error(ErrorCode::kInternal,
-                         "renderer emitted unparseable JSON: " +
-                             v.status().message(),
-                         {}, "serve");
-  return v->dump();
-}
-
 [[nodiscard]] std::string bool_json(bool b) { return b ? "true" : "false"; }
 
 /// Optional positive-integer parameter with range checking.
@@ -394,18 +380,16 @@ std::string Server::cmd_load(const Request& req, double t0_us) {
   }
   std::unique_ptr<Session> s = std::move(built).value();
   if (!options_.journal_dir.empty()) {
-    auto journal = Journal::open(journal_path(s->name));
-    Status append_st;
-    if (journal.ok()) {
-      s->journal = std::move(journal).value();
-      append_st = s->journal.append(s->header_record());
-    } else {
-      append_st = journal.status();
-    }
-    if (!append_st.ok()) {
+    // A new session replaces any journal left under its name (after
+    // --no-recover): appending would put a second header after the old
+    // session's records.
+    auto journal = Journal::create(journal_path(s->name), s->header_record());
+    if (!journal.ok()) {
       bump(&ServerCounters::errors, "serve.errors");
-      return error_reply(req.id_json, ReplyCode::kIo, append_st.message());
+      return error_reply(req.id_json, ReplyCode::kIo,
+                         journal.status().message());
     }
+    s->journal = std::move(journal).value();
   }
 
   std::string result = "{\"session\":\"" + json::escape(s->name) +
@@ -913,13 +897,7 @@ std::string Server::cmd_lint(const Request& req) {
     bump(&ServerCounters::errors, "serve.errors");
     return error_reply(req.id_json, reply_code(st.code()), st.message());
   }
-  auto result = compact(lint_json);
-  if (!result.ok()) {
-    bump(&ServerCounters::errors, "serve.errors");
-    return error_reply(req.id_json, ReplyCode::kInternal,
-                       result.status().message());
-  }
-  return ok_reply(req.id_json, result.value());
+  return ok_reply(req.id_json, lint_json);
 }
 
 // --- stats / shutdown ----------------------------------------------------

@@ -144,7 +144,7 @@ void CompactGraph::rebuild_structure(const netlist::Netlist& nl) {
   }
 }
 
-void profile_wave_sweep(const CompactGraph& g, bool pooled_dispatch) {
+void profile_wave_sweep(const CompactGraph& g) {
   static common::Counter& sweeps =
       common::metrics().counter("sta.wave.sweeps");
   static common::Counter& levels =
@@ -155,16 +155,11 @@ void profile_wave_sweep(const CompactGraph& g, bool pooled_dispatch) {
       common::metrics().counter("sta.wave.levels_below_dispatch_hint");
   static common::Histogram& width =
       common::metrics().histogram("sta.wave.instances_per_level");
-  static common::Counter& pooled =
-      common::metrics().counter("wall.sta.wave.pooled_sweeps");
-  static common::Counter& serial =
-      common::metrics().counter("wall.sta.wave.serial_sweeps");
   sweeps.add();
   levels.add(static_cast<std::uint64_t>(g.num_levels()));
   relaxed.add(g.num_instances());
   narrow.add(g.narrow_levels());
   width.record_batch(g.wave_width_profile());
-  (pooled_dispatch ? pooled : serial).add();
 }
 
 void compact_propagate(const CompactGraph& g, const StaOptions& opt,
@@ -176,23 +171,17 @@ void compact_propagate(const CompactGraph& g, const StaOptions& opt,
   st.driver_load.resize(nets);
   st.crit_input.assign(g.num_instances(), NetId{});
   const double k = opt.corner_delay_factor;
-  const bool par = pool != nullptr && pool->size() > 1;
 
-  profile_wave_sweep(g, par);
+  profile_wave_sweep(g);
 
   // Wire models: each net's model is a pure function of the graph, and
   // every lane writes only its own net's slots.
-  const auto wire_at = [&](std::size_t i) {
+  wave_for(pool, nets, [&](std::size_t i) {
     const NetId n{static_cast<std::uint32_t>(i)};
     const WireModel m = kern::wire_model(g, n, opt);
     st.wire_delay[i] = k * m.delay_tau;
     st.driver_load[i] = m.driver_load_units;
-  };
-  if (par) {
-    pool->parallel_for(nets, wire_at);
-  } else {
-    for (std::size_t i = 0; i < nets; ++i) wire_at(i);
-  }
+  });
 
   // Primary inputs: external driver of the port's declared strength.
   for (std::uint32_t i = 0; i < g.num_ports(); ++i) {
@@ -205,15 +194,11 @@ void compact_propagate(const CompactGraph& g, const StaOptions& opt,
   // at levels < L (sequential drivers are read at level >= 1) and writes
   // its own output net + crit slot, so in-level parallelism cannot change
   // values or ordering.
-  if (par) {
-    for (int lvl = 0; lvl < g.num_levels(); ++lvl) {
-      const std::span<const InstanceId> wave = g.wave(lvl);
-      pool->parallel_for(wave.size(), [&](std::size_t i) {
-        kern::relax_instance(g, opt, st, wave[i]);
-      });
-    }
-  } else {
-    for (InstanceId id : g.order()) kern::relax_instance(g, opt, st, id);
+  for (int lvl = 0; lvl < g.num_levels(); ++lvl) {
+    const std::span<const InstanceId> wave = g.wave(lvl);
+    wave_for(pool, wave.size(), [&](std::size_t i) {
+      kern::relax_instance(g, opt, st, wave[i]);
+    });
   }
 }
 

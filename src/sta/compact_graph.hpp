@@ -40,13 +40,30 @@
 
 namespace gap::sta {
 
-/// Nominal wavefront width below which per-level pool dispatch is
-/// expected to lose to serial relaxation (the open tuning problem in
-/// ROADMAP.md). The propagation kernels do NOT branch on this today —
-/// they go parallel per sweep, not per level — but the wavefront profile
-/// (docs/observability.md, "sta.wave.*") classifies levels against it so
-/// the crossover can be sized from production telemetry.
+/// The wavefront dispatch policy: a level is relaxed on a common::ThreadPool
+/// only when it holds at least this many instances per lane (wave_for).
+/// Narrower levels run as a plain loop on the calling thread, because
+/// one pool entry costs two condition-variable wake-ups, which outweighs
+/// relaxing a few dozen instances. The wavefront profile
+/// (docs/observability.md, "sta.wave.*") classifies levels against the
+/// same value.
 inline constexpr std::size_t kWaveDispatchHint = 64;
+
+/// Run fn(i) for every i in [0, n): on `pool` when it has more than one
+/// lane and n reaches kWaveDispatchHint items per lane, otherwise as a
+/// plain loop on the calling thread. Every levelized sweep (the STA
+/// wavefronts, the lint dataflow lattice) dispatches through here. The
+/// pool partitions statically and fn writes disjoint slots, so the
+/// results never depend on which branch ran.
+template <typename Fn>
+void wave_for(common::ThreadPool* pool, std::size_t n, Fn&& fn) {
+  if (pool != nullptr && pool->size() > 1 &&
+      n >= kWaveDispatchHint * static_cast<std::size_t>(pool->size())) {
+    pool->parallel_for(n, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) fn(i);
+}
 
 class CompactGraph {
  public:
@@ -197,10 +214,10 @@ class CompactGraph {
 
 /// Forward arrival propagation over a compact graph into `st` (arrays are
 /// resized): wire models for every net, primary-input seeds, then the
-/// levelized relaxation. With a pool of >1 lanes, wire models and each
-/// level's relaxations fan out in parallel (all writes disjoint, reads
-/// strictly below the level) — results are bit-identical to the serial
-/// loop at any lane count.
+/// levelized relaxation, level by level. The wire models and each level
+/// go through wave_for, so a wide level fans out over `pool` and a narrow
+/// one stays serial. All writes are disjoint and a level reads only
+/// arrivals below it, so results are bit-identical at any lane count.
 void compact_propagate(const CompactGraph& g, const StaOptions& opt,
                        detail::ArrivalState& st,
                        common::ThreadPool* pool = nullptr);
@@ -209,11 +226,11 @@ void compact_propagate(const CompactGraph& g, const StaOptions& opt,
 /// metrics (docs/observability.md): sweep/level/instance totals and the
 /// per-level width histogram, all derived from the schedule itself —
 /// never from what a pool actually did — so metric content is identical
-/// at any lane count. The one thread-dependent fact, whether the sweep
-/// dispatched to a pool, goes to the segregated wall section
-/// ("wall.sta.wave.{pooled,serial}_sweeps"). Called by every engine that
-/// walks the levelized schedule end to end (compact_propagate and the
-/// resident timer's full rebuild).
-void profile_wave_sweep(const CompactGraph& g, bool pooled_dispatch);
+/// at any lane count. How many items reached a pool is counted by the
+/// pool itself ("wall.pool.items_dispatched"). Called by
+/// compact_propagate, the one engine that walks the levelized schedule
+/// end to end (batch analysis, Monte Carlo samples and the resident
+/// timer's full rebuild all go through it).
+void profile_wave_sweep(const CompactGraph& g);
 
 }  // namespace gap::sta

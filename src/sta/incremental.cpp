@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <utility>
 
 #include "common/metrics.hpp"
@@ -326,71 +325,6 @@ std::size_t IncrementalTimer::pending_dirty() const {
   return wire_dirty_.size() + inst_dirty_.size() + ep_dirty_.size();
 }
 
-void IncrementalTimer::rebuild_state() {
-  const CompactGraph& g = cg_;
-  const std::size_t nets = g.num_nets();
-  const std::size_t insts = g.num_instances();
-  st_.arrival.assign(nets, kNegInf);
-  st_.wire_delay.assign(nets, 0.0);
-  st_.driver_load.assign(nets, 0.0);
-  st_.crit_input.assign(insts, NetId{});
-  const double k = options_.corner_delay_factor;
-  const bool par = pool_.size() > 1;
-
-  // Wire models: pure per-net computations with disjoint writes, fanned
-  // out over the resident lanes.
-  const auto wire_at = [&](std::size_t i) {
-    const NetId n{static_cast<std::uint32_t>(i)};
-    const WireModel m = kern::wire_model(g, n, options_);
-    st_.wire_delay[i] = k * m.delay_tau;
-    st_.driver_load[i] = m.driver_load_units;
-  };
-  if (par) {
-    pool_.parallel_for(nets, wire_at);
-  } else {
-    for (std::size_t i = 0; i < nets; ++i) wire_at(i);
-  }
-
-  for (std::uint32_t i = 0; i < g.num_ports(); ++i) {
-    const PortId pid{i};
-    if (!g.port_is_input(pid)) continue;
-    st_.arrival[g.port_net(pid).index()] =
-        kern::pi_arrival(g, options_, st_, pid);
-  }
-
-  // Full forward relaxation: the levelized wavefront over the pool (a
-  // level only reads arrivals from strictly lower levels, so in-level
-  // parallelism is race-free and lane-count invariant).
-  profile_wave_sweep(g, par);
-  if (par) {
-    for (int lvl = 0; lvl < g.num_levels(); ++lvl) {
-      const std::span<const InstanceId> wave = g.wave(lvl);
-      pool_.parallel_for(wave.size(), [&](std::size_t i) {
-        kern::relax_instance(g, options_, st_, wave[i]);
-      });
-    }
-  } else {
-    for (InstanceId id : g.order()) kern::relax_instance(g, options_, st_, id);
-  }
-
-  ep_path_.assign(nets, kNegInf);
-  ep_count_.assign(nets, 0);
-  for (std::uint32_t i = 0; i < nets; ++i) {
-    const NetId n{i};
-    if (st_.arrival[n.index()] == kNegInf) continue;
-    for (const NetSink& s : g.sinks(n)) {
-      if (s.kind != NetSink::Kind::kPrimaryOutput &&
-          !(s.kind == NetSink::Kind::kInstancePin &&
-            g.is_sequential(s.inst)))
-        continue;
-      ++ep_count_[n.index()];
-      ep_path_[n.index()] =
-          std::max(ep_path_[n.index()],
-                   kern::endpoint_path_tau(g, options_, st_, n, s));
-    }
-  }
-}
-
 void IncrementalTimer::full_rebuild() {
   GAP_TRACE_SPAN("sta::incremental_rebuild");
   // The rebuild *is* a batch arrival pass, so it reports into the same
@@ -409,7 +343,10 @@ void IncrementalTimer::full_rebuild() {
   const std::size_t nets = nl_->num_nets();
   const std::size_t insts = nl_->num_instances();
   cg_.build(*nl_);
-  rebuild_state();
+  compact_propagate(cg_, options_, st_, &pool_);
+  ep_path_.resize(nets);
+  ep_count_.resize(nets);
+  for (std::uint32_t i = 0; i < nets; ++i) refresh_endpoint(NetId{i});
 
   wire_dirty_flag_.assign(nets, 0);
   ep_dirty_flag_.assign(nets, 0);
@@ -527,7 +464,7 @@ void IncrementalTimer::flush_arrivals() {
     // value-independent of the lane count.
     new_arr.resize(wave.size());
     new_crit.resize(wave.size());
-    pool_.parallel_for(wave.size(), [&](std::size_t i) {
+    wave_for(&pool_, wave.size(), [&](std::size_t i) {
       new_arr[i] =
           kern::instance_arrival(g, options_, st_, wave[i], &new_crit[i]);
     });
@@ -560,28 +497,30 @@ void IncrementalTimer::flush_arrivals() {
   inc_width.drain_batch(width_batch);
 }
 
+void IncrementalTimer::refresh_endpoint(NetId n) {
+  const CompactGraph& g = cg_;
+  double path = kNegInf;
+  std::size_t count = 0;
+  if (st_.arrival[n.index()] != kNegInf) {
+    for (const NetSink& s : g.sinks(n)) {
+      if (s.kind != NetSink::Kind::kPrimaryOutput &&
+          !(s.kind == NetSink::Kind::kInstancePin && g.is_sequential(s.inst)))
+        continue;
+      ++count;
+      path = std::max(path, kern::endpoint_path_tau(g, options_, st_, n, s));
+    }
+  }
+  ep_path_[n.index()] = path;
+  ep_count_[n.index()] = count;
+}
+
 void IncrementalTimer::refresh_endpoints() {
   if (ep_dirty_.empty()) return;
-  const CompactGraph& g = cg_;
   std::sort(ep_dirty_.begin(), ep_dirty_.end(),
             [](NetId a, NetId b) { return a.index() < b.index(); });
   for (NetId n : ep_dirty_) {
     ep_dirty_flag_[n.index()] = 0;
-    double path = kNegInf;
-    std::size_t count = 0;
-    if (st_.arrival[n.index()] != kNegInf) {
-      for (const NetSink& s : g.sinks(n)) {
-        if (s.kind != NetSink::Kind::kPrimaryOutput &&
-            !(s.kind == NetSink::Kind::kInstancePin &&
-              g.is_sequential(s.inst)))
-          continue;
-        ++count;
-        path = std::max(path,
-                        kern::endpoint_path_tau(g, options_, st_, n, s));
-      }
-    }
-    ep_path_[n.index()] = path;
-    ep_count_[n.index()] = count;
+    refresh_endpoint(n);
   }
   ep_dirty_.clear();
 }
@@ -647,7 +586,7 @@ void IncrementalTimer::refresh_required(double period_tau) {
               [](NetId a, NetId b) { return a.index() < b.index(); });
     total += wave.size();
     scratch.resize(wave.size());
-    pool_.parallel_for(wave.size(), [&](std::size_t i) {
+    wave_for(&pool_, wave.size(), [&](std::size_t i) {
       scratch[i] = kern::required_of_net(g, options_, st_, required_,
                                          budget, wave[i]);
     });

@@ -18,9 +18,10 @@
 ///     value propagates only if its bit pattern changed, so every cached
 ///     value is, by induction, the value a full recompute would produce.
 ///  3. Wavefronts are two-phase: each level's nodes are recomputed into
-///     scratch in parallel (disjoint writes, shared state read-only) and
-///     committed serially in index order, so thread count can influence
-///     neither values nor iteration order.
+///     scratch (disjoint writes, shared state read-only; on the pool when
+///     the level is wide enough for sta::wave_for) and committed serially
+///     in index order, so thread count can influence neither values nor
+///     iteration order.
 ///
 /// The differential harness in tests/incremental_sta_test.cpp enforces
 /// the contract over randomized edit scripts; docs/incremental-sta.md
@@ -146,10 +147,13 @@ class IncrementalTimer {
   /// combinational cycle.
   [[nodiscard]] bool creates_comb_cycle(InstanceId inst, NetId net) const;
 
+  /// Rebuild the graph and re-time everything: compact_propagate over
+  /// the resident lanes, then every net's endpoint entry.
   void full_rebuild();
-  void rebuild_state();
   void flush_wire_models();
   void flush_arrivals();
+  /// Recompute net `n`'s worst endpoint path and endpoint-sink count.
+  void refresh_endpoint(NetId n);
   void refresh_endpoints();
   void refresh_required(double period_tau);
   [[nodiscard]] detail::WorstEndpoint scan_worst_endpoint() const;

@@ -825,6 +825,36 @@ TEST(LintCliTest, MissingFilesExitFive) {
   std::remove(good.c_str());
 }
 
+/// `--format json` is one line (plus its newline) in exactly the compact
+/// json::Value::dump() form, which gapd splices into its replies as is.
+TEST(LintCliTest, JsonReportIsOneCompactDumpLine) {
+  const std::string dir = GAP_LINT_FIXTURES;
+  const std::vector<std::vector<std::string>> runs = {
+      {dir + "/broken.v", "--lib", dir + "/broken.lib", "--config",
+       dir + "/broken.toml"},
+      {dir + "/broken.v", "--lib", dir + "/broken.lib"},
+      {dir + "/clean.v", "--config", dir + "/clean.toml"},
+  };
+  bool saw_waiver = false;
+  for (std::vector<std::string> args : runs) {
+    SCOPED_TRACE(args.front());
+    args.insert(args.end(), {"--format", "json"});
+    const CliResult r = cli(args);
+    ASSERT_NE(r.code, kExitIo) << r.err;
+    ASSERT_FALSE(r.out.empty());
+    ASSERT_EQ(r.out.back(), '\n');
+    const std::string line = r.out.substr(0, r.out.size() - 1);
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+    const auto v = common::json::Value::parse(line);
+    ASSERT_TRUE(v.has_value()) << line;
+    EXPECT_EQ(v->dump(), line);
+    EXPECT_EQ(v->member_string("schema", ""), "gap-lint-report-v1");
+    if (line.find("\"justification\"") != std::string::npos)
+      saw_waiver = true;
+  }
+  EXPECT_TRUE(saw_waiver);  // the optional member was covered too
+}
+
 TEST(LintCliTest, JsonOutputLandsInFileAndLints) {
   const std::string v = "lint_cli_json.v";
   write_file(v, kCleanModule);

@@ -600,6 +600,41 @@ TEST(ServeRecover, EditsAfterTornTailSurviveTheNextRestart) {
   EXPECT_FALSE(session.find("degraded")->boolean);
 }
 
+TEST(ServeRecover, ReloadAfterNoRecoverReplacesTheOldJournal) {
+  const std::string dir = temp_dir("reload_no_recover");
+  ServerOptions opt;
+  opt.journal_dir = dir;
+  {
+    Server a(opt);
+    ASSERT_TRUE(reply_ok(a.handle_line(load_frame("s1"))));
+    ASSERT_TRUE(reply_ok(a.handle_line(drive_frame("s1", 0, 2.0))));
+    ASSERT_TRUE(reply_ok(a.handle_line(drive_frame("s1", 1, 2.0))));
+  }
+  {
+    // Started with --no-recover: recover() never runs, and the old
+    // session's journal is still on disk under the same name.
+    Server b(opt);
+    ASSERT_TRUE(reply_ok(b.handle_line(load_frame("s1"))));
+    const Value ack = checked_reply(b.handle_line(drive_frame("s1", 5, 3.0)));
+    EXPECT_EQ(ack.find("result")->member_number("seq", 0), 1.0);
+  }
+  // The restart must bring back the new session with its one edit.
+  Server c(opt);
+  ASSERT_TRUE(c.recover().ok());
+  EXPECT_EQ(c.counters().recovered_edits, 1u);
+  const Value stats = checked_reply(c.handle_line("{\"cmd\":\"stats\"}"));
+  const Value& session = stats.find("result")->find("sessions")->array.at(0);
+  EXPECT_EQ(session.member_number("seq", 0), 1.0);
+  EXPECT_FALSE(session.find("degraded")->boolean);
+  EXPECT_FALSE(fs::exists(dir + "/s1.gapj.tmp"));
+
+  Server twin({});
+  ASSERT_TRUE(reply_ok(twin.handle_line(load_frame("s1"))));
+  (void)twin.handle_line(drive_frame("s1", 5, 3.0));
+  EXPECT_EQ(c.handle_line(query_frame("timing", "s1")),
+            twin.handle_line(query_frame("timing", "s1")));
+}
+
 TEST(ServeRecover, InteriorCorruptionDegradesButKeepsServing) {
   const std::string dir = temp_dir("corrupt_mid");
   {

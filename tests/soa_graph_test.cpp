@@ -11,7 +11,8 @@
 ///     code with sta/kernels.hpp — so a wrong kernel formula fails here
 ///     even though every engine evaluates the same kernels.
 ///  2. **Thread-count invariance.** The twin timers run at 1 and 4 lanes
-///     and must stay bitwise equal to each other at every step.
+///     and must stay bitwise equal to each other at every step, including
+///     on a design whose waves are wide enough to reach the pool.
 ///  3. **Construction round-trips.** For every registry entry: node/edge/
 ///     port counts match the netlist, ids are positional and stable across
 ///     rebuilds, the levelization is a valid wavefront schedule, and
@@ -29,10 +30,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "designs/registry.hpp"
 #include "library/builders.hpp"
@@ -60,13 +63,13 @@ constexpr double kRelTol = 1e-12;
 
 /// Map + pipeline one registry design into the register-bounded netlist
 /// the timing engines see in the real flow.
-Netlist implemented(const std::string& name,
-                    const library::CellLibrary& lib) {
+Netlist implemented(const std::string& name, const library::CellLibrary& lib,
+                    int stages = 1) {
   Netlist mapped = synth::map_to_netlist(
       designs::make_design(name, designs::DatapathStyle::kSynthesized), lib,
       synth::MapOptions{}, name + "_impl");
   pipeline::PipelineOptions popt;
-  popt.stages = 1;
+  popt.stages = stages;
   Netlist nl = pipeline::pipeline_insert(mapped, popt).nl;
   sizing::initial_drive_assignment(nl);
   return nl;
@@ -76,8 +79,8 @@ Netlist implemented(const std::string& name,
 /// strews the cells over a 1.5 mm die, giving long nets that take the
 /// optimal-repeater branch; otherwise a short careful placement.
 Netlist placed(const std::string& name, const library::CellLibrary& lib,
-               bool scatter) {
-  Netlist nl = implemented(name, lib);
+               bool scatter, int stages = 1) {
+  Netlist nl = implemented(name, lib, stages);
   place::PlaceOptions popt;
   popt.mode = scatter ? place::PlacementMode::kScattered
                       : place::PlacementMode::kCareful;
@@ -469,31 +472,43 @@ void mirror_apply(Netlist& nl, sta::StaOptions& opt, const Edit& e) {
   }
 }
 
+/// Work items that reached a common::ThreadPool so far, process-wide.
+std::uint64_t pool_items() {
+  return common::metrics().counter("wall.pool.items_dispatched").value();
+}
+
 /// Twin resident timers at 1 and 4 lanes, driven by the same randomized
 /// edit scripts in batches of 1-3 edits, stay bitwise equal to each other
 /// after every batch, and match the reference run on a mirror netlist the
 /// test edits directly. This is the contract the flow, gapd and TILOS
 /// lean on.
+///
+/// alu16's waves are narrower than sta::wave_for's 4-lane threshold, so
+/// the last scripts run on a 5-stage mac16 whose waves are several
+/// hundred instances wide. There the pooled relaxation must actually run:
+/// the 4-lane timer dispatches to its pool during a full rebuild and
+/// during one flush after a batch that resizes every register.
 TEST_F(SoaGraph, IncrementalTimersMatchAcrossThreadsAndReference) {
   const Netlist careful = placed("alu16", lib_, false);
   const Netlist scattered = placed("alu16", lib_, true);
+  const Netlist wide = placed("mac16", lib_, false, 5);
   constexpr std::uint64_t kSeed = 0x50A0ull;
   constexpr int kScripts = 24;
+  constexpr int kWideScripts = 4;
   constexpr int kEdits = 12;
   int applied = 0;
-  for (int script = 0; script < kScripts; ++script) {
+  for (int script = 0; script < kScripts + kWideScripts; ++script) {
     SCOPED_TRACE("script " + std::to_string(script));
-    const Netlist& base = script % 4 < 2 ? scattered : careful;
+    const bool is_wide = script >= kScripts;
+    const Netlist& base =
+        is_wide ? wide : (script % 4 < 2 ? scattered : careful);
     Netlist n1 = base;
     Netlist n4 = base;
     Netlist mirror = base;
     sta::StaOptions mirror_opt = options_variant(script);
     IncrementalTimer t1(n1, mirror_opt, 1);
     IncrementalTimer t4(n4, mirror_opt, 4);
-    Rng rng = Rng::stream(kSeed, static_cast<std::uint64_t>(script));
-    const int batch = 1 + script % 3;
-    for (int e = 0; e < kEdits; ++e) {
-      const Edit edit = random_edit(rng, mirror);
+    const auto apply_all = [&](const Edit& edit) {
       const common::Status s1 = t1.apply(edit);
       const common::Status s4 = t4.apply(edit);
       ASSERT_EQ(s1.ok(), s4.ok());
@@ -501,10 +516,11 @@ TEST_F(SoaGraph, IncrementalTimersMatchAcrossThreadsAndReference) {
         mirror_apply(mirror, mirror_opt, edit);
         ++applied;
       }
-      if (e % batch != batch - 1) continue;
-
+    };
+    const auto expect_batch_matches = [&] {
       expect_bytes_equal(t4.arrivals(), t1.arrivals(), "1 vs 4 lanes");
-      expect_bytes_equal(t1.arrivals(), ref::forward(mirror, mirror_opt).arrival,
+      expect_bytes_equal(t1.arrivals(),
+                         ref::forward(mirror, mirror_opt).arrival,
                          "arrivals vs reference");
       const sta::TimingResult tr = t1.timing();
       expect_timing_matches(tr, mirror, mirror_opt);
@@ -515,6 +531,27 @@ TEST_F(SoaGraph, IncrementalTimersMatchAcrossThreadsAndReference) {
       expect_bytes_equal(t4.slacks(tr.min_period_tau), want, "slacks");
       expect_paths_match(t1.top_paths(5), mirror, mirror_opt, 5);
       expect_paths_match(t4.top_paths(5), mirror, mirror_opt, 5);
+    };
+    Rng rng = Rng::stream(kSeed, static_cast<std::uint64_t>(script));
+    const int batch = 1 + script % 3;
+    for (int e = 0; e < kEdits; ++e) {
+      apply_all(random_edit(rng, mirror));
+      if (HasFatalFailure()) return;
+      if (e % batch != batch - 1) continue;
+      expect_batch_matches();
+      if (HasFatalFailure()) return;
+    }
+    if (is_wide) {
+      // Many dirty registers, one flush: the level-0 wave alone is
+      // hundreds of instances wide.
+      const double drive = 1.5 + 0.5 * script;
+      for (InstanceId id : mirror.all_instances())
+        if (mirror.is_sequential(id)) apply_all(Edit::set_drive(id, drive));
+      if (HasFatalFailure()) return;
+      const std::uint64_t before = pool_items();
+      (void)t4.arrivals();
+      EXPECT_GT(pool_items(), before) << "register batch flush";
+      expect_batch_matches();
       if (HasFatalFailure()) return;
     }
     // invalidate_all(): the full-rebuild path.
@@ -522,11 +559,34 @@ TEST_F(SoaGraph, IncrementalTimersMatchAcrossThreadsAndReference) {
     t4.invalidate_all();
     expect_bytes_equal(t1.arrivals(), ref::forward(mirror, mirror_opt).arrival,
                        "arrivals after invalidate_all");
+    const std::uint64_t before = pool_items();
     expect_bytes_equal(t4.arrivals(), t1.arrivals(),
                        "1 vs 4 lanes after invalidate_all");
+    if (is_wide) EXPECT_GT(pool_items(), before) << "full rebuild";
     if (HasFatalFailure()) return;
   }
-  EXPECT_GT(applied, kScripts * kEdits / 2);
+  EXPECT_GT(applied, (kScripts + kWideScripts) * kEdits / 2);
+}
+
+/// A single edit whose cone is a few narrow waves stays on the calling
+/// thread: sta::wave_for keeps waves below kWaveDispatchHint per lane off
+/// the pool, so a 4-lane timer dispatches nothing for it.
+TEST_F(SoaGraph, SmallConeEditStaysOffThePool) {
+  Netlist nl = synth::map_to_netlist(
+      designs::make_design("mac16", designs::DatapathStyle::kSynthesized),
+      lib_, synth::MapOptions{}, "mac16_mapped");
+  IncrementalTimer t4(nl, sta::StaOptions{}, 4);
+  (void)t4.timing();  // the full build
+  const common::Counter& reprops =
+      common::metrics().counter("sta.incremental.nodes_repropagated");
+  // The last mapped gate drives a primary output: a small fanout cone.
+  const InstanceId victim{static_cast<std::uint32_t>(nl.num_instances() - 1)};
+  const std::uint64_t items = pool_items();
+  const std::uint64_t nodes = reprops.value();
+  ASSERT_TRUE(t4.apply(Edit::set_drive(victim, 8.0)).ok());
+  (void)t4.timing();
+  EXPECT_GT(reprops.value(), nodes);  // the edit was re-timed
+  EXPECT_EQ(pool_items(), items);
 }
 
 }  // namespace
