@@ -69,7 +69,7 @@ void FlightRecorder::record(FlightEventKind kind, std::uint64_t req_id,
   char buf[FlightEvent::kDetailBytes] = {};
   const std::size_t n = detail.size() < sizeof(buf) ? detail.size()
                                                     : sizeof(buf);
-  std::memcpy(buf, detail.data(), n);
+  if (n != 0) std::memcpy(buf, detail.data(), n);  // empty views may be null
   for (std::size_t i = 0; i < 3; ++i) {
     std::uint64_t word = 0;
     std::memcpy(&word, buf + i * 8, 8);

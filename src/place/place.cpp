@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
@@ -16,42 +19,92 @@ using netlist::NetDriver;
 using netlist::Netlist;
 using netlist::NetSink;
 
-/// HPWL of one net over placed instance pins (ports are ignored: they sit
-/// at the die boundary of whichever block the netlist models).
-double net_hpwl(const Netlist& nl, NetId id) {
-  const netlist::Net& n = nl.net(id);
-  double x0 = 1e30, x1 = -1e30, y0 = 1e30, y1 = -1e30;
-  int pins = 0;
-  auto visit = [&](InstanceId inst) {
-    const netlist::Instance& i = nl.instance(inst);
-    if (i.x_um < 0.0) return;  // unplaced
-    x0 = std::min(x0, i.x_um);
-    x1 = std::max(x1, i.x_um);
-    y0 = std::min(y0, i.y_um);
-    y1 = std::max(y1, i.y_um);
-    ++pins;
-  };
-  if (n.driver.kind == NetDriver::Kind::kInstance) visit(n.driver.inst);
-  for (const NetSink& s : n.sinks)
-    if (s.kind == NetSink::Kind::kInstancePin) visit(s.inst);
-  if (pins < 2) return 0.0;
-  return (x1 - x0) + (y1 - y0);
-}
+/// The placer's flat view of a netlist (docs/data-layout.md, "Placement
+/// view"): two CSR adjacency arrays and flat positions, indexed by the
+/// netlist's own InstanceId / NetId values, so an HPWL streams through
+/// contiguous arrays instead of chasing Instance and Net objects.
+struct PlacementView {
+  /// Instance i's nets: inst_nets[inst_start[i] .. inst_start[i + 1]),
+  /// its inputs in pin order, then its output (a repeated net repeats).
+  std::vector<std::uint32_t> inst_start, inst_nets;
+  /// Net n's pins: net_pins[net_start[n] .. net_start[n + 1]), its driver
+  /// instance, then its instance-pin sinks in sink order. Ports are left
+  /// out: they sit at the die boundary of whichever block the netlist
+  /// models.
+  std::vector<std::uint32_t> net_start, net_pins;
+  std::vector<double> xs, ys;  ///< per instance; x < 0 means unplaced
+
+  explicit PlacementView(const Netlist& nl) {
+    const std::size_t ni = nl.num_instances();
+    const std::size_t nn = nl.num_nets();
+    inst_start.reserve(ni + 1);
+    xs.reserve(ni);
+    ys.reserve(ni);
+    inst_start.push_back(0);
+    for (std::uint32_t i = 0; i < ni; ++i) {
+      const netlist::Instance& inst = nl.instance(InstanceId{i});
+      for (NetId n : inst.inputs) inst_nets.push_back(n.value());
+      inst_nets.push_back(inst.output.value());
+      inst_start.push_back(static_cast<std::uint32_t>(inst_nets.size()));
+      xs.push_back(inst.x_um);
+      ys.push_back(inst.y_um);
+    }
+    net_start.reserve(nn + 1);
+    net_start.push_back(0);
+    for (std::uint32_t n = 0; n < nn; ++n) {
+      const netlist::Net& net = nl.net(NetId{n});
+      if (net.driver.kind == NetDriver::Kind::kInstance)
+        net_pins.push_back(net.driver.inst.value());
+      for (const NetSink& s : net.sinks)
+        if (s.kind == NetSink::Kind::kInstancePin)
+          net_pins.push_back(s.inst.value());
+      net_start.push_back(static_cast<std::uint32_t>(net_pins.size()));
+    }
+  }
+
+  [[nodiscard]] std::size_t num_nets() const { return net_start.size() - 1; }
+
+  [[nodiscard]] std::span<const std::uint32_t> nets(std::uint32_t i) const {
+    return {inst_nets.data() + inst_start[i],
+            inst_nets.data() + inst_start[i + 1]};
+  }
+
+  /// The one HPWL kernel: half-perimeter of net n's placed pins, 0 with
+  /// fewer than two.
+  [[nodiscard]] double hpwl(std::uint32_t n) const {
+    double x0 = 1e30, x1 = -1e30, y0 = 1e30, y1 = -1e30;
+    int placed = 0;
+    for (std::uint32_t k = net_start[n]; k < net_start[n + 1]; ++k) {
+      const std::uint32_t p = net_pins[k];
+      if (xs[p] < 0.0) continue;  // unplaced
+      x0 = std::min(x0, xs[p]);
+      x1 = std::max(x1, xs[p]);
+      y0 = std::min(y0, ys[p]);
+      y1 = std::max(y1, ys[p]);
+      ++placed;
+    }
+    if (placed < 2) return 0.0;
+    return (x1 - x0) + (y1 - y0);
+  }
+};
 
 struct Region {
   double x, y, w, h;
-  std::vector<InstanceId> members;
+  std::vector<std::uint32_t> members;  ///< instance indices
 };
 
 }  // namespace
 
 void annotate_net_lengths(netlist::Netlist& nl) {
-  for (NetId n : nl.all_nets()) nl.net(n).length_um = net_hpwl(nl, n);
+  const PlacementView v(nl);
+  for (std::uint32_t n = 0; n < v.num_nets(); ++n)
+    nl.net(NetId{n}).length_um = v.hpwl(n);
 }
 
 double total_hpwl(const netlist::Netlist& nl) {
+  const PlacementView v(nl);
   double t = 0.0;
-  for (NetId n : nl.all_nets()) t += net_hpwl(nl, n);
+  for (std::uint32_t n = 0; n < v.num_nets(); ++n) t += v.hpwl(n);
   return t;
 }
 
@@ -99,15 +152,16 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
           regions.push_back(Region{pm.x_um, pm.y_um, pm.w_um, pm.h_um, {}});
           rit = region_of_module.emplace(m.value(), regions.size() - 1).first;
         }
-        regions[rit->second].members.push_back(id);
+        regions[rit->second].members.push_back(id.value());
         continue;
       }
     }
-    whole.members.push_back(id);
+    whole.members.push_back(id.value());
   }
   if (!whole.members.empty()) regions.push_back(std::move(whole));
 
   // --- initial placement: grid sites per region ---
+  PlacementView v(nl);
   for (Region& r : regions) {
     const std::size_t count = r.members.size();
     if (count == 0) continue;
@@ -118,7 +172,7 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
     const double sx = r.w / static_cast<double>(std::max<std::size_t>(cols, 1));
     const double sy = r.h / static_cast<double>(std::max<std::size_t>(rows, 1));
 
-    std::vector<InstanceId> members = r.members;
+    std::vector<std::uint32_t> members = r.members;
     if (options.mode == PlacementMode::kScattered) {
       // Random shuffle destroys locality: the "no floorplanning" flow.
       for (std::size_t i = members.size(); i > 1; --i)
@@ -126,29 +180,41 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
                   members[static_cast<std::size_t>(rng.uniform_index(i))]);
     }
     for (std::size_t k = 0; k < members.size(); ++k) {
-      netlist::Instance& inst = nl.instance(members[k]);
-      inst.x_um = r.x + (static_cast<double>(k % cols) + 0.5) * sx;
-      inst.y_um = r.y + (static_cast<double>(k / cols) + 0.5) * sy;
+      v.xs[members[k]] = r.x + (static_cast<double>(k % cols) + 0.5) * sx;
+      v.ys[members[k]] = r.y + (static_cast<double>(k / cols) + 0.5) * sy;
     }
   }
-  result.initial_hpwl_um = total_hpwl(nl);
+  // Every net's HPWL, kept exact for the current positions: SA moves
+  // read it and update it only when a swap is accepted.
+  std::vector<double> hpwl_cache(v.num_nets());
+  for (std::uint32_t n = 0; n < v.num_nets(); ++n) {
+    hpwl_cache[n] = v.hpwl(n);
+    result.initial_hpwl_um += hpwl_cache[n];
+  }
 
   // --- SA refinement (careful mode only) ---
   if (options.mode == PlacementMode::kCareful && options.sa_moves > 0) {
     GAP_TRACE_SPAN("place::sa_refine");
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;
-    // Nets touching an instance, for incremental cost evaluation.
-    auto nets_of = [&](InstanceId id) {
-      std::vector<NetId> nets = nl.instance(id).inputs;
-      nets.push_back(nl.instance(id).output);
-      return nets;
-    };
-    auto local_cost = [&](InstanceId a, InstanceId b) {
+    // Cost of the nets of a, then of b, in pin order with repeats: the
+    // summation order is part of the result, since a rounding difference
+    // can flip an accept.
+    auto cached_cost = [&](std::uint32_t a, std::uint32_t b) {
       double c = 0.0;
-      for (NetId n : nets_of(a)) c += net_hpwl(nl, n);
-      for (NetId n : nets_of(b)) c += net_hpwl(nl, n);
+      for (std::uint32_t n : v.nets(a)) c += hpwl_cache[n];
+      for (std::uint32_t n : v.nets(b)) c += hpwl_cache[n];
       return c;
+    };
+    auto swapped_cost = [&](std::uint32_t a, std::uint32_t b) {
+      double c = 0.0;
+      for (std::uint32_t n : v.nets(a)) c += v.hpwl(n);
+      for (std::uint32_t n : v.nets(b)) c += v.hpwl(n);
+      return c;
+    };
+    auto swap_cells = [&](std::uint32_t a, std::uint32_t b) {
+      std::swap(v.xs[a], v.xs[b]);
+      std::swap(v.ys[a], v.ys[b]);
     };
 
     double temp = 0.05 * (die_w + die_h);
@@ -160,23 +226,21 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
         temp *= cooling;
         continue;
       }
-      const InstanceId a = r.members[rng.uniform_index(r.members.size())];
-      const InstanceId b = r.members[rng.uniform_index(r.members.size())];
+      const std::uint32_t a = r.members[rng.uniform_index(r.members.size())];
+      const std::uint32_t b = r.members[rng.uniform_index(r.members.size())];
       if (a == b) {
         temp *= cooling;
         continue;
       }
-      const double before = local_cost(a, b);
-      netlist::Instance& ia = nl.instance(a);
-      netlist::Instance& ib = nl.instance(b);
-      std::swap(ia.x_um, ib.x_um);
-      std::swap(ia.y_um, ib.y_um);
-      const double delta = local_cost(a, b) - before;
+      const double before = cached_cost(a, b);
+      swap_cells(a, b);
+      const double delta = swapped_cost(a, b) - before;
       if (!(delta <= 0.0 || rng.uniform() < std::exp(-delta / temp))) {
-        std::swap(ia.x_um, ib.x_um);  // reject: swap back
-        std::swap(ia.y_um, ib.y_um);
+        swap_cells(a, b);  // reject: swap back, the cache still holds
         ++rejected;
       } else {
+        for (std::uint32_t n : v.nets(a)) hpwl_cache[n] = v.hpwl(n);
+        for (std::uint32_t n : v.nets(b)) hpwl_cache[n] = v.hpwl(n);
         ++accepted;
       }
       temp *= cooling;
@@ -190,8 +254,16 @@ PlaceResult place(netlist::Netlist& nl, const PlaceOptions& options) {
     rej.add(rejected);
   }
 
-  annotate_net_lengths(nl);
-  result.total_hpwl_um = total_hpwl(nl);
+  // Write back once: positions to instances, cached HPWLs to nets.
+  for (std::uint32_t i = 0; i < v.xs.size(); ++i) {
+    netlist::Instance& inst = nl.instance(InstanceId{i});
+    inst.x_um = v.xs[i];
+    inst.y_um = v.ys[i];
+  }
+  for (std::uint32_t n = 0; n < v.num_nets(); ++n) {
+    nl.net(NetId{n}).length_um = hpwl_cache[n];
+    result.total_hpwl_um += hpwl_cache[n];
+  }
   return result;
 }
 

@@ -302,6 +302,19 @@ TEST(Flight, DetailTruncatesAtLimit) {
             std::string(FlightEvent::kDetailBytes, 'x'));
 }
 
+TEST(Flight, EmptyDetailReadsBackAllZero) {
+  // One slot, so the empty-detail event overwrites a full one and every
+  // detail byte must be cleared, not left over.
+  FlightRecorder rec(1);
+  rec.record(FlightEventKind::kDump, 0, 0, 0, std::string(64, 'x'));
+  rec.record(FlightEventKind::kDegraded, 0, 0, 0, std::string_view{});
+  const auto events = rec.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, FlightEventKind::kDegraded);
+  EXPECT_EQ(events[0].detail_view(), "");
+  for (const char c : events[0].detail) EXPECT_EQ(c, '\0');
+}
+
 TEST(Flight, ConcurrentRecordersNeverTearSnapshots) {
   // Hammer the ring from several threads while a reader snapshots; every
   // surviving event must be internally consistent (value == req_id, the

@@ -19,7 +19,8 @@
 #
 # The ASan/UBSan pass: the untrusted-input readers must reject hundreds of
 # mutated Liberty/Verilog inputs without aborting AND without any latent
-# memory or UB errors masked by a clean exit.
+# memory or UB errors masked by a clean exit; the observability suite and
+# the flat-array placer run with UBSan halting on its first report.
 #
 # Build trees default to build-tsan / build-asan / build-bench /
 # build-obs next to the primary build/, overridable so CI and local runs
@@ -106,7 +107,8 @@ run_asan() {
   cmake -B "$BUILD_ASAN" -S . -DGAP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD_ASAN" -j "$JOBS" \
-    --target fault_injection_test io_test diagnostics_test
+    --target fault_injection_test io_test diagnostics_test obs_test \
+      place_test
 
   echo "== fault_injection_test under ASan/UBSan =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
@@ -119,6 +121,18 @@ run_asan() {
   echo "== diagnostics_test under ASan/UBSan =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_ASAN/tests/diagnostics_test"
+
+  # UBSan only warns by default; halting turns each of its reports (a
+  # null memcpy source, say) into a failed run, as ASan's (an
+  # out-of-range CSR index) already are.
+  local ubsan="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
+  echo "== obs_test under ASan/UBSan =="
+  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" UBSAN_OPTIONS="$ubsan" \
+    "$BUILD_ASAN/tests/obs_test"
+
+  echo "== place_test under ASan/UBSan =="
+  ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" UBSAN_OPTIONS="$ubsan" \
+    "$BUILD_ASAN/tests/place_test"
 }
 
 # The bench gate, exactly as CI runs it: quick-mode microbenchmarks in a
